@@ -197,12 +197,39 @@ def plan_sweep(context, spec: SweepSpec) -> SweepPlan:
     )
 
 
+@dataclass
+class _Pipeline:
+    """One trained pipeline and what every point over it shares.
+
+    Points over one pipeline differ only in platform axes (``bits``,
+    ``hw_scale``, ``tech_node``), none of which changes the extracted
+    workload or the layout tiles — so both are derived once, here.
+    """
+
+    #: the GCoD task digest the pipeline is stored (and memoized) under.
+    digest: str
+    result: Any  # GCoDResult
+    #: the pipeline model's paper-scale :class:`GCNWorkload`.
+    workload: Any
+    #: the event simulator's layout tiles: per-subgraph diagonal-block nnz
+    #: and each subgraph's class id.
+    tiles: Tuple[Any, List[int]]
+
+
 class _PointEvaluator:
-    """Evaluates points with per-sweep caches (baselines, platforms)."""
+    """Evaluates points with per-sweep caches.
+
+    Memoized for the evaluator's lifetime (one sweep, or one pool
+    worker's share of it): baselines per (dataset, arch, seed), platform
+    variants per (bits, hw_scale, tech_node), one :class:`_Pipeline` per
+    trained pipeline, and aggregation event-sims per (pipeline, agg_dim,
+    PE count).
+    """
 
     def __init__(self, context):
         self.context = context
-        self._gcod: Dict[str, object] = {}  # gcod digest -> GCoDResult
+        self._pipelines: Dict[str, _Pipeline] = {}
+        self._sims: Dict[Tuple[str, int, int], Any] = {}
         self._graphs: Dict[Tuple[str, int], object] = {}
         self._baselines: Dict[Tuple[str, str, int], Tuple] = {}
         self._platforms: Dict[Tuple[int, float, int], object] = {}
@@ -271,14 +298,14 @@ class _PointEvaluator:
             )
         return self._platforms[key]
 
-    def _gcod_result(self, point: SweepPoint):
+    def _pipeline(self, point: SweepPoint) -> _Pipeline:
         """Train-or-load the pipeline behind ``point`` (store-backed)."""
         from repro.algorithm import run_gcod
+        from repro.hardware import extract_workload
 
-        task = point.gcod_task()
-        key = task.key()
-        if key.digest in self._gcod:
-            return self._gcod[key.digest]
+        key = point.gcod_task().key()
+        if key.digest in self._pipelines:
+            return self._pipelines[key.digest]
         store: Optional[ArtifactStore] = self.context.store
         result = store.get(key) if store is not None else None
         if result is None:
@@ -288,17 +315,31 @@ class _PointEvaluator:
             )
             if store is not None:
                 store.put(key, result, summary=result.to_summary_dict())
-        self._gcod[key.digest] = result
-        return result
+        layout, adj = result.layout, result.final_graph.adj
+        pipeline = self._pipelines[key.digest] = _Pipeline(
+            digest=key.digest,
+            result=result,
+            workload=extract_workload(
+                result.final_graph, layout, point.arch, paper_scale=True
+            ),
+            tiles=(
+                layout.subgraph_workloads(adj),
+                [s.class_id for s in layout.spans],
+            ),
+        )
+        return pipeline
 
-    @staticmethod
-    def _simulate_aggregation(workload, result, total_pes: int):
+    def _simulate_aggregation(self, pipeline: _Pipeline, workload,
+                              total_pes: int):
         """Event-sim the aggregation schedule of the point's own layout.
 
         The tiles are the layout's measured per-subgraph workloads —
         per-tile DMA/MAC accounting, not the analytic closed form — run at
         the PE count the ``bits``/``hw_scale`` axes selected (or, for a
         workload-DAG node, its allocated slice of the shared array).
+        The simulator reads only the workload's adjacency (shared by
+        every layer slice of the pipeline's workload), the aggregation
+        width, the PE count and the tiles, so the memo key is exact.
         """
         from repro.hardware.event_sim import simulate_aggregation
 
@@ -307,27 +348,25 @@ class _PointEvaluator:
              if layer.aggregate),
             0,
         )
-        if not agg_dim:
-            return None  # no aggregation phase: nothing to schedule
-        sub_workloads = result.layout.subgraph_workloads(
-            result.final_graph.adj
-        )
-        sub_classes = [s.class_id for s in result.layout.spans]
-        return simulate_aggregation(
-            workload,
-            agg_dim=agg_dim,
-            total_pes=total_pes,
-            layout_tiles=(sub_workloads, sub_classes),
-        )
+        key = (pipeline.digest, agg_dim, total_pes)
+        if key not in self._sims:  # `in`: a cached None is a hit too
+            # no aggregation phase (agg_dim 0): nothing to schedule
+            self._sims[key] = simulate_aggregation(
+                workload,
+                agg_dim=agg_dim,
+                total_pes=total_pes,
+                layout_tiles=pipeline.tiles,
+            ) if agg_dim else None
+        return self._sims[key]
 
     def _evaluate_workload_point(self, point: SweepPoint) -> SweepPointResult:
         """Metrics for a workload-DAG point (shared-accelerator merge).
 
         Per-node extraction goes through the same store-backed
-        :meth:`_gcod_result` path the single-model grid uses (the primary
-        node digests identically, so artifacts are shared); the staged
-        pipeline merges the node reports with PE time-slicing. Baselines
-        run every distinct (dataset, arch) pair serially on the
+        :meth:`_pipeline` records the single-model grid uses (the primary
+        node digests identically, so artifacts and memos are shared); the
+        staged pipeline merges the node reports with PE time-slicing.
+        Baselines run every distinct (dataset, arch) pair serially on the
         monolithic AWB-GCN/HyGCN platforms — the multi-tenant framing:
         one shared GCoD accelerator vs a baseline running the models back
         to back. Every reduction below is a float identity for a
@@ -336,7 +375,6 @@ class _PointEvaluator:
         """
         import dataclasses
 
-        from repro.hardware import extract_workload
         from repro.hardware.pipeline import (
             PipelineSettings,
             evaluate_workload,
@@ -346,28 +384,20 @@ class _PointEvaluator:
 
         graph = parse_workload(point.workload)
         scales = dict(point.workload_scales)
-        gcod_results: Dict[Tuple[str, str], Any] = {}
-        full_workloads: Dict[Tuple[str, str], Any] = {}
+        pipelines: Dict[Tuple[str, str], _Pipeline] = {}
 
-        def pair_result(dataset: str, arch: str):
+        def pair_pipeline(dataset: str, arch: str) -> _Pipeline:
             pair = (dataset, arch)
-            if pair not in gcod_results:
+            if pair not in pipelines:
                 node_point = dataclasses.replace(
                     point, dataset=dataset, arch=arch,
                     scale=scales.get(dataset, point.scale),
                 )
-                gcod_results[pair] = self._gcod_result(node_point)
-            return gcod_results[pair]
+                pipelines[pair] = self._pipeline(node_point)
+            return pipelines[pair]
 
         def extract_fn(node, _context):
-            pair = (node.dataset, node.arch)
-            if pair not in full_workloads:
-                result = pair_result(node.dataset, node.arch)
-                full_workloads[pair] = extract_workload(
-                    result.final_graph, result.layout, node.arch,
-                    paper_scale=True,
-                )
-            return full_workloads[pair]
+            return pair_pipeline(node.dataset, node.arch).workload
 
         settings = PipelineSettings(
             bits=point.bits,
@@ -393,12 +423,12 @@ class _PointEvaluator:
         speedup = awb_latency / merged.latency_s
         bw_red = 1.0 - merged.required_bandwidth_gbps / max(hygcn_bw, 1e-9)
         accuracy = sum(
-            float(pair_result(ds, arch).accuracy_final)
+            float(pair_pipeline(ds, arch).result.accuracy_final)
             for ds, arch in pairs
         ) / len(pairs)
         balance = sum(
-            float(r.layout.balance_within_classes(r.final_graph.adj))
-            for r in (pair_result(ds, arch) for ds, arch in pairs)
+            float(pair_pipeline(ds, arch).workload.adjacency.class_balance)
+            for ds, arch in pairs
         ) / len(pairs)
 
         # Event-sim each node's aggregation at its allocated PE slice;
@@ -406,9 +436,9 @@ class _PointEvaluator:
         node_pes = dict(wg_report.node_pes)
         sims = []
         for node in graph.nodes:
-            wl = slice_workload(extract_fn(node, self.context), node)
+            pipeline = pair_pipeline(node.dataset, node.arch)
             sim = self._simulate_aggregation(
-                wl, pair_result(node.dataset, node.arch),
+                pipeline, slice_workload(pipeline.workload, node),
                 node_pes[node.name],
             )
             if sim is not None:
@@ -457,24 +487,21 @@ class _PointEvaluator:
 
     def evaluate(self, point: SweepPoint) -> SweepPointResult:
         """Compute one point's metrics (the expensive, counted path)."""
-        from repro.hardware import extract_workload
-
         counters.record_sweep_point_run()
         if point.workload is not None:
             return self._evaluate_workload_point(point)
         awb, hygcn = self._baseline_reports(
             point.dataset, point.arch, point.seed
         )
-        result = self._gcod_result(point)
-        wl = extract_workload(
-            result.final_graph, result.layout, point.arch, paper_scale=True
-        )
+        pipeline = self._pipeline(point)
+        result, wl = pipeline.result, pipeline.workload
         platform = self._gcod_platform(
             point.bits, point.hw_scale, point.tech_node
         )
         report = platform.run(wl)
         budget = platform.budget()
-        sim = self._simulate_aggregation(wl, result, platform.pes.num_pes)
+        sim = self._simulate_aggregation(pipeline, wl,
+                                         platform.pes.num_pes)
         speedup = awb.latency_s / report.latency_s
         bw_red = 1.0 - report.required_bandwidth_gbps / max(
             hygcn.required_bandwidth_gbps, 1e-9
@@ -493,9 +520,7 @@ class _PointEvaluator:
             speedup_vs_awb=float(speedup),
             bw_reduction_vs_hygcn=float(bw_red),
             accuracy=float(result.accuracy_final),
-            balance=float(
-                result.layout.balance_within_classes(result.final_graph.adj)
-            ),
+            balance=float(wl.adjacency.class_balance),
             gcod_latency_s=float(report.latency_s),
             awb_latency_s=float(awb.latency_s),
             gcod_required_bw_gbps=float(report.required_bandwidth_gbps),
@@ -523,9 +548,10 @@ def _point_error(point: SweepPoint, exc: Exception) -> GCoDTaskError:
 
 #: Per-process evaluator cache for pool workers, keyed by the context
 #: signature. A worker evaluates many points of one sweep; rebuilding the
-#: context per point would re-unpickle the trained pipeline and recompute
-#: the baselines every time — the memoized evaluator makes the worker's
-#: marginal per-point cost equal to the serial path's.
+#: evaluator per point would re-unpickle the trained pipeline and redo
+#: its workload extraction, layout tiles, event-sims and baselines every
+#: time — the memoized evaluator derives each once per worker, so the
+#: worker's marginal per-point cost equals the serial path's.
 _WORKER_EVALUATORS: Dict[tuple, "_PointEvaluator"] = {}
 
 

@@ -7,6 +7,7 @@ same bytes as a cold serial run, and ``jobs=2`` output is byte-identical
 to ``jobs=1``.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from repro.runtime.keys import KIND_GCOD, KIND_SWEEP
 from repro.runtime.store import ArtifactStore
 from repro.sweep import (
     SweepSpec,
+    expand,
     pareto_frontier,
     plan_sweep,
     run_sweep,
@@ -133,6 +135,85 @@ def test_sweep_survives_corrupted_point_entry(cold_sweep):
     assert counters.gcod_run_count() == 0
     assert report.points_evaluated == 1
     assert sweep_report_text(ACCEPTANCE_SPEC, report.results) == cold_text
+
+
+# ----------------------------------------------------------------------
+# per-pipeline memoization: one extraction and one event-sim per input
+# ----------------------------------------------------------------------
+#: 2 pipelines x 2 bits x 2 hw_scale x 2 tech nodes: four PE counts per
+#: pipeline, each shared by both tech nodes.
+MEMO_SPEC = SweepSpec(
+    name="memo",
+    title="memo grid",
+    axes={
+        "C": (1, 2),
+        "S": (2,),
+        "bits": (32, 8),
+        "hw_scale": (0.5, 2.0),
+        "tech_node": (7, 28),
+    },
+)
+
+
+def assert_memoized_evaluation(store, spec, monkeypatch):
+    """Evaluate ``spec`` with a fresh evaluator per point, then with one
+    shared evaluator; the results must be byte-identical, and the shared
+    one must extract each pipeline (and each baseline) once and event-sim
+    each distinct (pipeline, agg_dim, PE count) once.
+
+    Returns the shared run's event-sim inputs.
+    """
+    import repro.hardware
+    from repro.hardware import event_sim
+    from repro.sweep.engine import _PointEvaluator
+
+    real_extract = repro.hardware.extract_workload
+    real_sim = event_sim.simulate_aggregation
+    extracts, sims = [], []
+
+    def counting_extract(graph, layout=None, *args, **kwargs):
+        extracts.append(layout is not None)
+        return real_extract(graph, layout, *args, **kwargs)
+
+    def counting_sim(workload, agg_dim, total_pes, layout_tiles):
+        sub_workloads, sub_classes = layout_tiles
+        sims.append((workload.adjacency, agg_dim, total_pes,
+                     tuple(sub_workloads), tuple(sub_classes)))
+        return real_sim(workload, agg_dim=agg_dim, total_pes=total_pes,
+                        layout_tiles=layout_tiles)
+
+    points = expand(spec, micro_ctx(store))
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.hardware, "extract_workload", counting_extract)
+        patch.setattr(event_sim, "simulate_aggregation", counting_sim)
+        # the fresh run goes first: it also warms the store's pipelines
+        fresh = [pickle.dumps(_PointEvaluator(micro_ctx(store)).evaluate(p))
+                 for p in points]
+        needed_sims = set(sims)
+        extracts.clear()
+        sims.clear()
+        evaluator = _PointEvaluator(micro_ctx(store))
+        shared = [pickle.dumps(evaluator.evaluate(p)) for p in points]
+
+    assert shared == fresh
+    tasks = [task for p in points for task in p.gcod_tasks()]
+    assert extracts.count(True) == len({t.key().digest for t in tasks})
+    assert extracts.count(False) == len(
+        {(t.dataset, t.arch, t.seed) for t in tasks}
+    )
+    assert len(sims) == len(needed_sims)
+    assert set(sims) == needed_sims
+    return sims
+
+
+def test_shared_evaluator_derives_each_pipeline_once(cold_sweep,
+                                                     monkeypatch):
+    root, _ = cold_sweep
+    sims = assert_memoized_evaluation(ArtifactStore(root), MEMO_SPEC,
+                                      monkeypatch)
+    # 2 pipelines x 4 PE counts; the tech nodes share every simulation
+    assert len(sims) == 8
+    assert len({pes for _, _, pes, _, _ in sims}) == 4
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.sweep import (
     run_sweep,
     sweep_report_text,
 )
+from tests.sweep.test_engine import assert_memoized_evaluation
 
 MICRO_SCALES = {"cora": 0.06, "citeseer": 0.05}
 
@@ -179,3 +180,17 @@ def test_warm_workload_sweep_is_all_cache_hits(tmp_path):
     assert warm.points_evaluated == 0
     assert sweep_report_text(spec, warm.results) == \
         sweep_report_text(spec, cold.results)
+
+
+def test_shared_evaluator_derives_each_dag_pipeline_once(tmp_path,
+                                                         monkeypatch):
+    # the layer-sliced DAG runs one pipeline at two aggregation widths
+    spec = SweepSpec(
+        name="memo", title="memo",
+        axes={"workload": (PAIR, "cora/gcn/0-0+cora/gcn/1-1"),
+              "bits": (32, 8), "hw_scale": (0.5, 2.0),
+              "tech_node": (7, 28)},
+    )
+    sims = assert_memoized_evaluation(ArtifactStore(str(tmp_path)), spec,
+                                      monkeypatch)
+    assert len({agg_dim for _, agg_dim, _, _, _ in sims}) >= 2
