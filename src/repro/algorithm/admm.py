@@ -111,7 +111,7 @@ def admm_sparsify_polarize(
     z = np.ones(num_pairs)
     u = np.zeros(num_pairs)
     opt = Adam([w_pairs], lr=config.admm_lr)
-    x = Tensor(graph.features)
+    x = F.sparse_input(graph.features)
     model.eval()  # freeze batch-norm stats / dropout; weights get no grads
     for p in model.parameters():
         p.requires_grad = False

@@ -19,6 +19,7 @@ import numpy as np
 from repro.compression.qat import _project_weights
 from repro.compression.quantize import quantize_dequantize
 from repro.graphs.graph import Graph
+from repro.nn import functional as F
 from repro.nn.models import build_model
 from repro.nn.models.base import GNNModel
 from repro.nn.training import TrainResult, train_model
@@ -45,20 +46,27 @@ def train_degree_quant(
     rng = ensure_rng(seed)
     probs = protection_probabilities(graph.degrees(), max_protect_prob)
     model = build_model(arch, graph, rng=seed)
-    original_features = graph.features.copy()
+    # Training reads its input once, so the per-epoch rewrite goes into
+    # the input's stored entries. Zeros quantize to zero, so the pattern
+    # of the full-precision features covers every quantized value too.
+    features = F.sparse_input(graph.features)
+    original = features.data.copy()
+    quantized = quantize_dequantize(original, bits)
+    entry_rows = np.repeat(
+        np.arange(features.shape[0]), np.diff(features.indptr)
+    )
 
     def per_epoch(epoch, m, val_acc):
         # Re-draw the protection mask and re-quantize unprotected node
         # features for the next epoch; weights snap onto the int grid.
         protected = rng.random(probs.shape[0]) < probs
-        quantized = quantize_dequantize(original_features, bits)
-        graph.features[:] = np.where(
-            protected[:, None], original_features, quantized
-        )
+        features.data[:] = np.where(protected[entry_rows], original, quantized)
         _project_weights(m, bits)
         return False
 
-    result = train_model(model, graph, epochs=epochs, epoch_callback=per_epoch)
-    graph.features[:] = original_features
+    result = train_model(
+        model, graph, epochs=epochs, epoch_callback=per_epoch,
+        features=features,
+    )
     _project_weights(model, bits)
     return result, model

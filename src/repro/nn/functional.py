@@ -58,12 +58,29 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, training: bool, rng: SeedLike = None) -> Tensor:
-    """Inverted dropout; identity when ``training`` is False or ``p`` is 0."""
-    if not training or p <= 0.0:
+def dropout(a, p: float, training: bool, rng: SeedLike = None):
+    """Inverted dropout; identity when ``training`` is False or ``p`` is 0.
+
+    ``a`` is a :class:`Tensor` or the constant sparse model input (see
+    :func:`sparse_input`). On the sparse input one uniform is drawn per
+    stored entry, never per cell, and dropped entries leave the structure,
+    so the first layer's ``X W`` only touches the kept ones. ``p = 1``
+    drops everything (zeros, zero gradient).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"dropout probability must lie in [0, 1], got {p}")
+    if not training or p == 0.0:
         return a
     gen = ensure_rng(rng)
-    keep = (gen.random(a.data.shape) >= p) / (1.0 - p)
+    scale = 1.0 / (1.0 - p) if p < 1.0 else 0.0
+    if sp.issparse(a):
+        keep = gen.random(a.nnz) >= p
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        return sp.csr_matrix(
+            (a.data[keep] * scale, a.indices[keep], kept_before[a.indptr]),
+            shape=a.shape,
+        )
+    keep = (gen.random(a.data.shape) >= p) * scale
     data = a.data * keep
 
     def backward(grad):
@@ -116,21 +133,55 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tenso
 # ----------------------------------------------------------------------
 # sparse / graph ops
 # ----------------------------------------------------------------------
-def spmm(adj: sp.spmatrix, x: Tensor, backend: BackendLike = None) -> Tensor:
+def sparse_input(features) -> sp.csr_matrix:
+    """The model input as a constant CSR matrix, built with one scan.
+
+    Node features are a few percent non-zero on every dataset here, so
+    training, graph tuning and prediction build this once per call and
+    run dropout (:func:`dropout`) and the first layer's ``X W``
+    (:func:`matmul`) over its stored entries instead of a dense N x F array.
+    """
+    return sp.csr_matrix(np.asarray(features, dtype=np.float64))
+
+
+def matmul(x, weight: Tensor, backend: BackendLike = None) -> Tensor:
+    """``x @ weight`` for a dense :class:`Tensor` or the sparse model input.
+
+    The sparse product runs through :func:`spmm`, so ``backend`` does the
+    arithmetic and ``weight`` receives ``x^T dL/dY``.
+    """
+    if sp.issparse(x):
+        return spmm(x, weight, backend=backend)
+    return x @ weight
+
+
+def spmm(
+    adj: sp.spmatrix,
+    x: Tensor,
+    backend: BackendLike = None,
+    adj_t: Optional[sp.csr_matrix] = None,
+) -> Tensor:
     """Aggregation ``Â X`` with a *constant* sparse matrix.
 
     Gradient: ``dL/dX = Â^T dL/dY``. This is the hot op of standard GCN
     training (Step 1 / retraining); graph tuning uses :func:`edge_spmm`.
     ``backend`` picks the kernel implementation (see
-    :mod:`repro.sparse.kernels`).
+    :mod:`repro.sparse.kernels`). ``adj_t`` is ``Â^T`` in CSR form, for
+    callers that apply one matrix many times (``GraphOps`` builds it once);
+    without it the backward pass runs the column-wise product over
+    ``Â``'s transposed view, which converts nothing.
     """
     kernel = get_backend(backend)
-    a = sp.csr_matrix(adj)
+    a = adj if adj.format == "csr" else adj.tocsr()
     data = kernel.spmm_row_product(a, x.data)
 
     def backward(grad):
-        if x.requires_grad:
-            x.accumulate_grad(kernel.spmm_row_product(a.T.tocsr(), grad))
+        if not x.requires_grad:
+            return
+        if adj_t is not None:
+            x.accumulate_grad(kernel.spmm_row_product(adj_t, grad))
+        else:
+            x.accumulate_grad(kernel.spmm_column_product(a.T, grad))
 
     return _make(data, (x,), backward)
 

@@ -6,8 +6,10 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.tensor import Tensor
+from repro.sparse.kernels import BackendLike
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -83,7 +85,7 @@ class Module:
 
 
 class Linear(Module):
-    """Dense affine layer ``x @ W + b``."""
+    """Affine layer ``x @ W + b``; ``x`` may be the sparse model input."""
 
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True, rng: SeedLike = None):
         super().__init__()
@@ -93,8 +95,8 @@ class Linear(Module):
             Tensor(init.zeros((out_dim,)), requires_grad=True) if bias else None
         )
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
+    def __call__(self, x, backend: BackendLike = None) -> Tensor:
+        out = F.matmul(x, self.weight, backend=backend)
         if self.bias is not None:
             out = out + self.bias
         return out

@@ -17,6 +17,7 @@ Eq. (2)" trick.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -79,17 +80,28 @@ class GraphOps:
         counts = np.bincount(self.rows, minlength=self.num_nodes).astype(np.float64)
         self.mean_edge_norm = self.base_data / np.maximum(counts[self.rows], 1.0)
 
-        if edge_weights is None:
-            n = self.num_nodes
-            self._sym_mat = sp.csr_matrix(
-                (self.sym_edge_norm, (self.rows, self.cols)), shape=(n, n)
-            ) + sp.diags(self.sym_loop_norm)
-            self._sum_mat = sp.csr_matrix(
-                (self.base_data, (self.rows, self.cols)), shape=(n, n)
-            )
-            self._mean_mat = sp.csr_matrix(
-                (self.mean_edge_norm, (self.rows, self.cols)), shape=(n, n)
-            )
+    def _fixed(self, edge_norm: np.ndarray, loops=None):
+        """A constant aggregation matrix and its transpose, both CSR."""
+        n = self.num_nodes
+        mat = sp.csr_matrix((edge_norm, (self.rows, self.cols)), shape=(n, n))
+        if loops is not None:
+            mat = mat + sp.diags(loops)
+        return mat, mat.T.tocsr()
+
+    # Built on first use, so trainable ops and SAGE's per-epoch sampled
+    # ops pay only for the matrices they aggregate with; the transposes
+    # serve every backward pass of this object.
+    @cached_property
+    def _sym(self):
+        return self._fixed(self.sym_edge_norm, self.sym_loop_norm)
+
+    @cached_property
+    def _sum(self):
+        return self._fixed(self.base_data)
+
+    @cached_property
+    def _mean(self):
+        return self._fixed(self.mean_edge_norm)
 
     @property
     def trainable(self) -> bool:
@@ -102,7 +114,8 @@ class GraphOps:
     def agg_sym(self, x: Tensor) -> Tensor:
         """Symmetric-normalized aggregation ``Â x`` (GCN / ResGCN)."""
         if self.edge_weights is None:
-            return F.spmm(self._sym_mat, x, backend=self.kernel)
+            mat, mat_t = self._sym
+            return F.spmm(mat, x, backend=self.kernel, adj_t=mat_t)
         weights = self.edge_weights * Tensor(self.sym_edge_norm)
         neigh = F.edge_spmm(
             weights, self.rows, self.cols, x, self.num_nodes,
@@ -113,7 +126,8 @@ class GraphOps:
     def agg_sum(self, x: Tensor) -> Tensor:
         """Unnormalized sum aggregation (GIN's Add, Tab. IV)."""
         if self.edge_weights is None:
-            return F.spmm(self._sum_mat, x, backend=self.kernel)
+            mat, mat_t = self._sum
+            return F.spmm(mat, x, backend=self.kernel, adj_t=mat_t)
         weights = self.edge_weights * Tensor(self.base_data)
         return F.edge_spmm(
             weights, self.rows, self.cols, x, self.num_nodes,
@@ -123,7 +137,8 @@ class GraphOps:
     def agg_mean(self, x: Tensor) -> Tensor:
         """Neighbour-mean aggregation (GraphSAGE, Tab. IV)."""
         if self.edge_weights is None:
-            return F.spmm(self._mean_mat, x, backend=self.kernel)
+            mat, mat_t = self._mean
+            return F.spmm(mat, x, backend=self.kernel, adj_t=mat_t)
         weights = self.edge_weights * Tensor(self.mean_edge_norm)
         return F.edge_spmm(
             weights, self.rows, self.cols, x, self.num_nodes,
@@ -157,19 +172,31 @@ class GraphOps:
 
 
 class GNNModel(Module):
-    """Base class for the five models: ``forward(x, ops) -> logits``."""
+    """Base class for the five models: ``forward(x, ops) -> logits``.
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    ``x`` is the sparse model input (:func:`repro.nn.functional.sparse_input`)
+    or a dense :class:`Tensor`; each model's first layer combines it with
+    a weight (``F.matmul``) before anything else touches it.
+    """
+
+    def forward(self, x, ops: GraphOps) -> Tensor:
         raise NotImplementedError
 
-    def __call__(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def __call__(self, x, ops: GraphOps) -> Tensor:
         return self.forward(x, ops)
 
-    def predict(self, x: np.ndarray, ops: GraphOps) -> np.ndarray:
-        """Class predictions with dropout disabled."""
+    def predict(self, x, ops: GraphOps) -> np.ndarray:
+        """Class predictions with dropout disabled.
+
+        ``x`` is the model input (a :class:`Tensor` or the sparse input of
+        :func:`repro.nn.functional.sparse_input`); a dense feature array
+        is converted to the sparse input once.
+        """
+        if isinstance(x, np.ndarray):
+            x = F.sparse_input(x)
         was_training = self.training
         self.eval()
-        logits = self.forward(Tensor(x), ops)
+        logits = self.forward(x, ops)
         if was_training:
             self.train()
         return np.argmax(logits.data, axis=1)

@@ -10,7 +10,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.layers import Module
 from repro.nn.models.base import GNNModel, GraphOps
-from repro.nn.tensor import Tensor, concat, reshape
+from repro.nn.tensor import Tensor, concat, reshape, split
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -49,10 +49,12 @@ class GATLayer(Module):
             for _ in range(heads)
         ]
 
-    def __call__(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def __call__(self, x, ops: GraphOps) -> Tensor:
+        # One product for all heads: a sparse input is multiplied (and
+        # transposed for the backward pass) once, not once per head.
+        stacked = F.matmul(x, concat(self.weights, axis=1), backend=ops.kernel)
         head_outputs = []
-        for h in range(self.heads):
-            transformed = x @ self.weights[h]
+        for h, transformed in enumerate(split(stacked, self.heads, axis=1)):
             # Scalar score components per node, combined per edge.
             left = transformed @ reshape(self.att_left[h], (-1, 1))
             right = transformed @ reshape(self.att_right[h], (-1, 1))
@@ -91,7 +93,7 @@ class GAT(GNNModel):
         self.dropout = dropout
         self._rng = gen
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def forward(self, x, ops: GraphOps) -> Tensor:
         """Return class logits for every node."""
         h = F.dropout(x, self.dropout, self.training, rng=self._rng)
         h = F.elu(self.layer1(h, ops))

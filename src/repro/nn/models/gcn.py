@@ -38,14 +38,14 @@ class GCN(GNNModel):
         self.dropout = dropout
         self._rng = gen
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def forward(self, x, ops: GraphOps) -> Tensor:
         """Return class logits for every node."""
         h = x
         for i, layer in enumerate(self.layers):
             h = F.dropout(h, self.dropout, self.training, rng=self._rng)
             # Combination (X W) then aggregation (Â ·) — the two phases the
             # accelerator pipelines (Sec. V-B, Fig. 7).
-            h = ops.agg_sym(layer(h))
+            h = ops.agg_sym(layer(h, ops.kernel))
             if i < len(self.layers) - 1:
                 h = F.relu(h)
         return h

@@ -12,7 +12,12 @@ from repro.utils.rng import SeedLike, ensure_rng
 
 
 class _GINMLP(Module):
-    """The 2-layer MLP applied after each GIN aggregation."""
+    """One GIN layer: the sum aggregation and the 2-layer MLP after it.
+
+    ``fc1`` distributes over the aggregation,
+    ``((A + (1 + eps) I) h) W1 = A (h W1) + (1 + eps) h W1``, so the weight
+    product runs first and a sparse input is never aggregated itself.
+    """
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int, rng=None):
         super().__init__()
@@ -21,8 +26,10 @@ class _GINMLP(Module):
         self.bn = BatchNorm1d(hidden_dim)
         self.fc2 = Linear(hidden_dim, out_dim, rng=gen)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(F.relu(self.bn(self.fc1(x))))
+    def __call__(self, x, ops: GraphOps, eps: Tensor) -> Tensor:
+        xw = F.matmul(x, self.fc1.weight, backend=ops.kernel)
+        hidden = ops.agg_sum(xw) + xw * (eps + Tensor(1.0)) + self.fc1.bias
+        return self.fc2(F.relu(self.bn(hidden)))
 
 
 class GIN(GNNModel):
@@ -49,13 +56,12 @@ class GIN(GNNModel):
         self.dropout = dropout
         self._rng = gen
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def forward(self, x, ops: GraphOps) -> Tensor:
         """Return class logits for every node."""
         h = x
         for i, mlp in enumerate(self.mlps):
             h = F.dropout(h, self.dropout, self.training, rng=self._rng)
-            aggregated = ops.agg_sum(h) + h * (self.eps + Tensor(1.0))
-            h = mlp(aggregated)
+            h = mlp(h, ops, self.eps)
             if i < len(self.mlps) - 1:
                 h = F.relu(h)
         return h

@@ -45,9 +45,9 @@ class ResGCN(GNNModel):
         """Number of residual blocks."""
         return len(self.blocks)
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def forward(self, x, ops: GraphOps) -> Tensor:
         """Return class logits for every node."""
-        h = self.input_proj(x)
+        h = self.input_proj(x, ops.kernel)
         for block in self.blocks:
             update = F.relu(ops.agg_max(block(h)))
             update = F.dropout(update, self.dropout, self.training, rng=self._rng)

@@ -69,8 +69,12 @@ class SAGELayer(GNNModel):
         self.self_fc = Linear(in_dim, out_dim, rng=gen)
         self.neigh_fc = Linear(in_dim, out_dim, bias=False, rng=gen)
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
-        return self.self_fc(x) + self.neigh_fc(ops.agg_mean(x))
+    def forward(self, x, ops: GraphOps) -> Tensor:
+        # mean(h_neigh) W_neigh == mean((h W_neigh)_neigh): combining first
+        # keeps a sparse input out of the aggregation.
+        return self.self_fc(x, ops.kernel) + ops.agg_mean(
+            self.neigh_fc(x, ops.kernel)
+        )
 
 
 class GraphSAGE(GNNModel):
@@ -104,7 +108,7 @@ class GraphSAGE(GNNModel):
         sampled = sample_neighbors(adj, self.sample_sizes[layer_idx], rng=self._rng)
         return GraphOps(sampled, kernel_backend=ops.kernel)
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def forward(self, x, ops: GraphOps) -> Tensor:
         """Return class logits for every node."""
         h = F.dropout(x, self.dropout, self.training, rng=self._rng)
         h = F.relu(self.layer1(h, self._layer_ops(ops, 0)))

@@ -305,3 +305,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
                 t.accumulate_grad(grad[tuple(index)])
 
     return _make(data, tuple(tensors), backward)
+
+
+def split(a: Tensor, parts: int, axis: int = 1) -> List[Tensor]:
+    """Cut ``a`` into ``parts`` equal pieces along ``axis`` (undoes :func:`concat`)."""
+    size = a.data.shape[axis] // parts
+    pieces = []
+    for lo in range(0, size * parts, size):
+        index = [slice(None)] * a.data.ndim
+        index[axis] = slice(lo, lo + size)
+        index = tuple(index)
+
+        def backward(grad, index=index):
+            if a.requires_grad:
+                padded = np.zeros_like(a.data)
+                padded[index] = grad
+                a.accumulate_grad(padded)
+
+        pieces.append(_make(a.data[index], (a,), backward))
+    return pieces

@@ -6,12 +6,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.nn import functional as F
 from repro.nn.models.base import GNNModel, GraphOps
 from repro.nn.optim import Adam, Optimizer
-from repro.nn.tensor import Tensor
 from repro.sparse.kernels import BackendLike
 
 
@@ -28,13 +28,24 @@ class TrainResult:
 
 
 def accuracy(
-    model: GNNModel, graph: Graph, ops: GraphOps, mask: np.ndarray
+    model: GNNModel,
+    graph: Graph,
+    ops: GraphOps,
+    mask: np.ndarray,
+    features: Optional[sp.csr_matrix] = None,
 ) -> float:
-    """Fraction of correctly classified nodes under ``mask``."""
-    preds = model.predict(graph.features, ops)
+    """Fraction of correctly classified nodes under ``mask``.
+
+    ``features`` is the model input built once by the caller (see
+    :func:`repro.nn.functional.sparse_input`); without it ``graph.features``
+    is converted for this call.
+    """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return 0.0
+    if features is None:
+        features = F.sparse_input(graph.features)
+    preds = model.predict(features, ops)
     return float((preds[mask] == graph.labels[mask]).mean())
 
 
@@ -49,6 +60,7 @@ def train_model(
     epoch_callback: Optional[Callable[[int, "GNNModel", float], bool]] = None,
     track_best: bool = True,
     kernel_backend: BackendLike = None,
+    features: Optional[sp.csr_matrix] = None,
 ) -> TrainResult:
     """Train ``model`` on ``graph`` with the paper's settings (Sec. VI-A).
 
@@ -56,14 +68,22 @@ def train_model(
     early — this is the hook the early-bird ticket detector uses. When
     ``track_best`` is set the parameters with the best validation accuracy
     are restored before computing the test accuracy. ``kernel_backend``
-    selects the SpMM kernels used for aggregation (ignored when ``ops`` is
-    supplied, which carries its own backend).
+    selects the SpMM kernels used for aggregation and for the first layer's
+    product (ignored when ``ops`` is supplied, which carries its own
+    backend).
+
+    The model input is ``graph.features`` converted once to the sparse
+    input of :func:`repro.nn.functional.sparse_input`; rewriting
+    ``graph.features`` during training does not reach it. A caller that
+    changes the input between epochs (Degree-Quant) builds ``features``
+    itself and rewrites its ``data`` in place from ``epoch_callback``;
+    the stored-entry pattern must cover every non-zero it writes.
     """
     ops = ops or GraphOps(graph.adj, kernel_backend=kernel_backend)
     opt = optimizer or Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
     result = TrainResult()
     best_val = -1.0
-    x = Tensor(graph.features)
+    x = F.sparse_input(graph.features) if features is None else features
 
     for epoch in range(epochs):
         model.train()
@@ -74,7 +94,7 @@ def train_model(
         opt.step()
         result.train_losses.append(float(loss.data))
 
-        val_acc = accuracy(model, graph, ops, graph.val_mask)
+        val_acc = accuracy(model, graph, ops, graph.val_mask, features=x)
         result.val_accuracies.append(val_acc)
         if track_best and val_acc >= best_val:
             best_val = val_acc
@@ -87,5 +107,7 @@ def train_model(
 
     if track_best and result.best_state is not None:
         model.load_state_dict(result.best_state)
-    result.test_accuracy = accuracy(model, graph, ops, graph.test_mask)
+    result.test_accuracy = accuracy(
+        model, graph, ops, graph.test_mask, features=x
+    )
     return result

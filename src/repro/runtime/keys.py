@@ -37,7 +37,9 @@ from typing import Any, Dict, Optional, Tuple
 #: v5: workload DAGs — SweepPoint gained `workload`/`workload_scales`
 #: (and the point key matching components), so a multi-model point and
 #: the single-model point sharing its primary node can never collide.
-CODE_SCHEMA_VERSION = 5
+#: v6: training reads node features as a sparse input and draws dropout
+#: over its stored entries, so every trained artifact's numbers changed.
+CODE_SCHEMA_VERSION = 6
 
 #: Artifact kinds the store recognises (one subdirectory per kind).
 KIND_GRAPH = "graph"

@@ -13,6 +13,7 @@ import shutil
 import pytest
 
 import repro
+from repro.runtime.keys import CODE_SCHEMA_VERSION
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -39,3 +40,12 @@ def rewrite(path, old, new):
     assert old in text, f"expected {old!r} in {path}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.replace(old, new))
+
+
+def bump_schema_version(tree):
+    """Raise the scratch tree's CODE_SCHEMA_VERSION by one, whatever it is."""
+    rewrite(
+        tree / "runtime" / "keys.py",
+        f"CODE_SCHEMA_VERSION = {CODE_SCHEMA_VERSION}",
+        f"CODE_SCHEMA_VERSION = {CODE_SCHEMA_VERSION + 1}",
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import build_parser, main
+from repro.runtime.keys import CODE_SCHEMA_VERSION
 
 from tests.analysis.conftest import append_to
 
@@ -120,18 +121,14 @@ def test_update_baseline_then_clean(scratch_tree, tmp_path, capsys):
 
 
 def test_write_golden_refreshes_then_lints(scratch_tree, capsys):
-    from tests.analysis.conftest import rewrite
+    from tests.analysis.conftest import bump_schema_version, rewrite
 
     rewrite(
         scratch_tree / "sweep" / "engine.py",
         "    agg_dma_utilization: float",
         "    agg_dma_utilization: float\n    new_metric: float = 0.0",
     )
-    rewrite(
-        scratch_tree / "runtime" / "keys.py",
-        "CODE_SCHEMA_VERSION = 5",
-        "CODE_SCHEMA_VERSION = 6",
-    )
+    bump_schema_version(scratch_tree)
     # stale golden: fails without the refresh ...
     code, out, _ = run_cli(["lint", str(scratch_tree)], capsys)
     assert code == 1 and "schema-golden-stale" in out
@@ -144,7 +141,7 @@ def test_write_golden_refreshes_then_lints(scratch_tree, capsys):
     golden = json.loads(
         (scratch_tree / "analysis" / "schema_golden.json").read_text()
     )
-    assert golden["schema_version"] == 6
+    assert golden["schema_version"] == CODE_SCHEMA_VERSION + 1
 
 
 def test_lint_help_lists_rules():

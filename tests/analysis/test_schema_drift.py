@@ -15,8 +15,9 @@ from repro.analysis.rules.schema_drift import (
     fingerprint,
     write_golden,
 )
+from repro.runtime.keys import CODE_SCHEMA_VERSION
 
-from tests.analysis.conftest import append_to, rewrite
+from tests.analysis.conftest import append_to, bump_schema_version, rewrite
 
 
 def drift_findings(tree):
@@ -31,14 +32,6 @@ def add_result_field(tree):
         "    agg_dma_utilization: float",
         "    agg_dma_utilization: float\n"
         "    new_metric: float = 0.0",
-    )
-
-
-def bump_schema_version(tree):
-    rewrite(
-        tree / "runtime" / "keys.py",
-        "CODE_SCHEMA_VERSION = 5",
-        "CODE_SCHEMA_VERSION = 6",
     )
 
 
@@ -72,7 +65,7 @@ def test_bump_trades_drift_for_stale_golden(scratch_tree):
     hit = hits[0]
     assert hit.rule == "schema-golden-stale"
     assert hit.path == "analysis/schema_golden.json"
-    assert "(5 -> 6)" in hit.message
+    assert f"({CODE_SCHEMA_VERSION} -> {CODE_SCHEMA_VERSION + 1})" in hit.message
     assert "--write-golden" in hit.hint
 
 
@@ -82,7 +75,7 @@ def test_write_golden_completes_the_cycle(scratch_tree):
     path = write_golden(LintContext(str(scratch_tree)))
     assert path is not None
     golden = json.loads(open(path).read())
-    assert golden["schema_version"] == 6
+    assert golden["schema_version"] == CODE_SCHEMA_VERSION + 1
     assert "new_metric" in json.dumps(golden["shapes"]["SweepPointResult"])
     assert drift_findings(scratch_tree) == []
 
@@ -136,4 +129,4 @@ def test_golden_matches_shipped_sources():
     assert shapes is not None
     golden = json.loads(open(golden_path(ctx)).read())
     assert golden["fingerprint"] == fingerprint(shapes)
-    assert golden["schema_version"] == 5
+    assert golden["schema_version"] == CODE_SCHEMA_VERSION

@@ -65,6 +65,32 @@ def test_degree_quant_trains_and_restores_features(tiny_graph):
     assert result.test_accuracy > 0.3
 
 
+def test_degree_quant_rewrite_reaches_the_training_input(tiny_graph, monkeypatch):
+    """The per-epoch re-quantization must land in the input training reads."""
+    from repro.compression import degree_quant
+
+    seen = []
+    real_train = degree_quant.train_model
+
+    def spy(model, graph, epoch_callback, features, **kwargs):
+        def callback(epoch, m, acc):
+            stop = epoch_callback(epoch, m, acc)
+            seen.append(features.toarray())
+            return stop
+
+        return real_train(
+            model, graph, epoch_callback=callback, features=features, **kwargs
+        )
+
+    monkeypatch.setattr(degree_quant, "train_model", spy)
+    # every row unprotected, every value quantized to zero
+    monkeypatch.setattr(
+        degree_quant, "quantize_dequantize", lambda v, bits: np.zeros_like(v)
+    )
+    train_degree_quant(tiny_graph, epochs=2, max_protect_prob=0.0, seed=0)
+    assert len(seen) == 2 and not seen[0].any()
+
+
 def test_sgcn_prunes_and_trains(tiny_graph):
     result, pruned = train_sgcn(
         tiny_graph, prune_ratio=0.2, pretrain_epochs=8, retrain_epochs=10,

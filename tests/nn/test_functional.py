@@ -61,6 +61,31 @@ def test_dropout_preserves_expectation(rng):
     assert out.data.mean() == pytest.approx(1.0, abs=0.05)
 
 
+def test_dropout_p_one_gives_zeros_and_zero_gradient(rng):
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = F.dropout(x, 1.0, training=True, rng=rng)
+    np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+    out.sum().backward()
+    np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+
+
+def test_sparse_dropout_p_one_gives_zeros_and_zero_gradient(rng):
+    x = F.sparse_input(np.ones((2, 3)))
+    dropped = F.dropout(x, 1.0, training=True, rng=rng)
+    np.testing.assert_array_equal(dropped.toarray(), np.zeros((2, 3)))
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    F.matmul(dropped, w).sum().backward()
+    np.testing.assert_array_equal(w.grad, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_dropout_rejects_p_outside_unit_interval(p, sparse):
+    x = F.sparse_input(np.ones((2, 3))) if sparse else Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="dropout probability"):
+        F.dropout(x, p, training=True)
+
+
 def test_spmm_matches_scipy(rng):
     adj = sp.random(8, 8, density=0.3, random_state=1, format="csr")
     x = rng.normal(size=(8, 3))

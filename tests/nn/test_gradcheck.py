@@ -69,6 +69,26 @@ def test_spmm_gradient(rng):
     check(lambda t: F.spmm(adj, t), rng.normal(size=(6, 4)))
 
 
+def test_spmm_gradient_with_cached_transpose(rng):
+    adj = sp.random(6, 5, density=0.4, random_state=0, format="csr")
+    adj_t = adj.T.tocsr()
+    check(lambda t: F.spmm(adj, t, adj_t=adj_t), rng.normal(size=(5, 4)))
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_weight_gradient_through_sparse_input(rng, backend):
+    """The first layer: ``dropout(X) @ W`` with X the sparse input."""
+    dense = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+    x = F.sparse_input(dense)
+
+    def op(w):
+        # A fixed seed redraws the same dropout mask on every evaluation.
+        dropped = F.dropout(x, 0.3, training=True, rng=4)
+        return F.matmul(dropped, w, backend=backend)
+
+    check(op, rng.normal(size=(5, 3)))
+
+
 def test_gather_rows_gradient(rng):
     idx = np.array([0, 2, 2, 1])
     check(lambda t: F.gather_rows(t, idx), rng.normal(size=(3, 4)))
