@@ -89,23 +89,10 @@ from repro.errors import (
 )
 from repro.evaluation import EvalContext
 from repro.runtime import CODE_SCHEMA_VERSION
-from repro.runtime.registry import (
-    all_experiments,
-    experiment_names,
-    get_experiment,
-)
+from repro.runtime.registry import experiment_names, get_experiment
 from repro.runtime.keys import ALL_KINDS
 from repro.runtime.store import ArtifactStore, default_cache_dir
 from repro.sparse.kernels import backend_choices, set_default_backend
-
-
-def __getattr__(name: str):
-    # Back-compat (PEP 562): the old hard-coded ``EXPERIMENTS`` dict is now
-    # derived from the registry on access, so it can never drift from the
-    # registered specs.
-    if name == "EXPERIMENTS":
-        return {spec.name: spec.runner for spec in all_experiments()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cmd_experiment(args, ctx: EvalContext) -> int:

@@ -3,7 +3,8 @@
 Every experiment module exposes ``run(...) -> ExperimentResult``; the
 result carries structured rows plus a ``render()`` method that prints the
 table/figure as monospace text. ``repro.evaluation.reference`` holds the
-paper-reported values used in EXPERIMENTS.md comparisons.
+paper-reported values the "Headline shape checks" header of
+:mod:`repro.evaluation.report` compares against.
 """
 
 from repro.evaluation.context import (

@@ -22,12 +22,18 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithm import GCoDConfig, GCoDResult, run_gcod
-from repro.graphs import Graph, load_dataset
+from repro.algorithm import GCoDConfig, GCoDResult
+from repro.graphs import Graph
 from repro.hardware import GCNWorkload, extract_workload
 from repro.hardware.accelerators import all_platforms
 from repro.runtime import keys as runtime_keys
-from repro.runtime.store import ArtifactStore
+from repro.runtime.runner import (
+    GCoDTask,
+    build_task,
+    dataset_graph,
+    train_or_load,
+)
+from repro.runtime.store import ArtifactStore, get_or_compute
 from repro.utils.tables import format_table
 
 CITATION_DATASETS = ("cora", "citeseer", "pubmed")
@@ -120,6 +126,7 @@ class EvalContext:
     #: results, and traces survive across processes.
     store: Optional[ArtifactStore] = None
     _graphs: Dict[tuple, Graph] = field(default_factory=dict, repr=False)
+    _tasks: Dict[tuple, GCoDTask] = field(default_factory=dict, repr=False)
     _gcod: Dict[tuple, GCoDResult] = field(default_factory=dict, repr=False)
     _traces: Dict[tuple, object] = field(default_factory=dict, repr=False)
     _platforms: Optional[dict] = field(default=None, repr=False)
@@ -175,9 +182,6 @@ class EvalContext:
     # ------------------------------------------------------------------
     # cache keys (in-memory memo + persistent store)
     # ------------------------------------------------------------------
-    def _graph_memo_key(self, dataset: str) -> tuple:
-        return (dataset, self.scale_for(dataset), self.seed)
-
     def _gcod_memo_key(self, dataset: str, arch: str) -> tuple:
         # Backend, effective scale, and profile are part of the key:
         # contexts created via ``replace(ctx, kernel_backend=...)`` (or
@@ -187,25 +191,23 @@ class EvalContext:
         return (dataset, arch, self._backend_name(),
                 self.scale_for(dataset), self.seed, self.profile)
 
-    def graph_store_key(self, dataset: str) -> runtime_keys.ArtifactKey:
-        """The persistent-store key of this context's ``dataset`` graph."""
-        return runtime_keys.graph_key(
-            dataset, self.scale_for(dataset), self.seed
-        )
+    def gcod_task(self, dataset: str, arch: str = "gcn") -> GCoDTask:
+        """The (cached) training task :meth:`gcod` runs for (dataset, arch).
+
+        Cached under the memo key, which covers every input of the task, so
+        repeated lookups (``has_gcod`` before ``gcod``, the planner, the
+        service's warm path) hash the store key once.
+        """
+        memo = self._gcod_memo_key(dataset, arch)
+        if memo not in self._tasks:
+            self._tasks[memo] = build_task(self, dataset, arch)
+        return self._tasks[memo]
 
     def gcod_store_key(
         self, dataset: str, arch: str = "gcn"
     ) -> runtime_keys.ArtifactKey:
         """The persistent-store key of this context's (dataset, arch) run."""
-        return runtime_keys.gcod_key(
-            dataset,
-            self.scale_for(dataset),
-            arch,
-            self.gcod_config_for(arch),
-            self.kernel_backend,
-            self.seed,
-            self.profile,
-        )
+        return self.gcod_task(dataset, arch).key()
 
     def experiment_store_key(self, name: str) -> runtime_keys.ArtifactKey:
         """The persistent-store key of experiment ``name`` in this context."""
@@ -219,18 +221,15 @@ class EvalContext:
     # ------------------------------------------------------------------
     def graph(self, dataset: str) -> Graph:
         """The (cached) synthetic graph for ``dataset``."""
-        memo = self._graph_memo_key(dataset)
+        return self.graph_at(dataset, self.scale_for(dataset), self.seed)
+
+    def graph_at(self, dataset: str, scale: Optional[float],
+                 seed: int) -> Graph:
+        """The (cached) graph for an explicit (dataset, scale, seed)."""
+        memo = (dataset, scale, seed)
         if memo not in self._graphs:
-            graph = None
-            if self.store is not None:
-                graph = self.store.get(self.graph_store_key(dataset))
-            if graph is None:
-                graph = load_dataset(
-                    dataset, scale=self.scale_for(dataset), seed=self.seed
-                )
-                if self.store is not None:
-                    self.store.put(self.graph_store_key(dataset), graph)
-            self._graphs[memo] = graph
+            self._graphs[memo] = dataset_graph(self.store, dataset, scale,
+                                               seed)
         return self._graphs[memo]
 
     def has_gcod(self, dataset: str, arch: str = "gcn") -> bool:
@@ -245,23 +244,9 @@ class EvalContext:
         """The (cached) GCoD pipeline result for (dataset, arch)."""
         memo = self._gcod_memo_key(dataset, arch)
         if memo not in self._gcod:
-            result = None
-            key = self.gcod_store_key(dataset, arch)
-            if self.store is not None:
-                result = self.store.get(key)
-            if result is None:
-                # Run with the backend name resolved (same numerics), so the
-                # stored artifact is byte-identical whether this context or
-                # a pool worker — which must resolve eagerly — produced it.
-                config = replace(
-                    self.gcod_config_for(arch),
-                    kernel_backend=self._backend_name(),
-                )
-                result = run_gcod(self.graph(dataset), arch, config)
-                if self.store is not None:
-                    self.store.put(key, result,
-                                   summary=result.to_summary_dict())
-            self._gcod[memo] = result
+            self._gcod[memo] = train_or_load(
+                self.gcod_task(dataset, arch), self.store, self.graph_at
+            )
         return self._gcod[memo]
 
     def platforms(self) -> dict:
@@ -283,24 +268,18 @@ class EvalContext:
 
         memo = self._gcod_memo_key(dataset, arch)
         if memo not in self._traces:
-            trace = None
-            key = runtime_keys.trace_key(self.gcod_store_key(dataset, arch))
-            if self.store is not None:
-                trace = self.store.get(key)
-            if trace is None:
+            def trace():
                 result = self.gcod(dataset, arch)
-                first_weight = result.model.layers[0].weight.data
-                execution = execute_layer(
+                return execute_layer(
                     result.final_graph,
                     result.layout,
                     result.final_graph.features,
-                    first_weight,
+                    result.model.layers[0].weight.data,
                     kernel_backend=self.kernel_backend,
-                )
-                trace = execution.trace
-                if self.store is not None:
-                    self.store.put(key, trace)
-            self._traces[memo] = trace
+                ).trace
+
+            key = runtime_keys.trace_key(self.gcod_store_key(dataset, arch))
+            self._traces[memo] = get_or_compute(self.store, key, trace)
         return self._traces[memo]
 
     # ------------------------------------------------------------------

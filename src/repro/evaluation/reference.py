@@ -1,4 +1,5 @@
-"""Paper-reported values, used to check reproduction *shape* in EXPERIMENTS.md.
+"""Paper-reported values, used to check reproduction *shape* in the
+"Headline shape checks" section of :mod:`repro.evaluation.report`.
 
 Only values stated in the paper's text/tables are recorded. Figures 9-11 are
 bar charts whose exact values are hard to read; where the text states

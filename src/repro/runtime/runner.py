@@ -17,10 +17,10 @@ The runner splits a report into two phases:
 
 Determinism: every task carries its full config (seed included) and a
 *resolved* kernel-backend name, and workers run exactly the same
-``run_gcod`` the serial path runs — so ``--jobs 8`` produces byte-identical
-reports (markdown/JSON/CSV) to ``--jobs 1``, just faster. The stored
-artifacts are semantically identical too (every field compares equal);
-only their pickle framing may differ, because workers train on a
+:func:`train_or_load` the serial path runs — so ``--jobs 8`` produces
+byte-identical reports (markdown/JSON/CSV) to ``--jobs 1``, just faster.
+The stored artifacts are semantically identical too (every field compares
+equal); only their pickle framing may differ, because workers train on a
 store-round-tripped graph object while the serial path trains on the
 freshly generated one.
 """
@@ -32,7 +32,8 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.runtime.keys import ArtifactKey, gcod_key, graph_key
@@ -40,7 +41,7 @@ from repro.runtime.registry import (
     ExperimentSpec,
     resolve_experiments,
 )
-from repro.runtime.store import ArtifactStore
+from repro.runtime.store import ArtifactStore, get_or_compute
 from repro.runtime import counters
 
 
@@ -71,6 +72,11 @@ class GCoDTask:
     config: object  # GCoDConfig; typed loosely to keep imports light
 
     def key(self) -> ArtifactKey:
+        return self._key
+
+    @cached_property
+    def _key(self) -> ArtifactKey:
+        # Hashed once per task: the fields are frozen, so the key is too.
         return gcod_key(
             self.dataset,
             self.scale,
@@ -118,7 +124,12 @@ class RunReport:
 
 
 def build_task(context, dataset: str, arch: str) -> GCoDTask:
-    """The task ``context.gcod(dataset, arch)`` would execute, as data."""
+    """The task ``context.gcod(dataset, arch)`` would execute, as data.
+
+    The backend name is resolved (same numerics), so the stored artifact
+    is byte-identical whether the context or a pool worker — which must
+    resolve eagerly — produced it.
+    """
     from repro.sparse.kernels import get_backend
 
     backend = get_backend(context.kernel_backend).name
@@ -161,7 +172,7 @@ def plan_experiments(
             deps[dep] = None
 
     tasks = [
-        build_task(context, dataset, arch)
+        context.gcod_task(dataset, arch)
         for dataset, arch in sorted(deps)
         if not context.has_gcod(dataset, arch)  # not in memory or on disk
     ]
@@ -188,8 +199,40 @@ def pool_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if use_fork else "spawn")
 
 
+def dataset_graph(store: Optional[ArtifactStore], dataset: str,
+                  scale: Optional[float], seed: int):
+    """The generated graph for (dataset, scale, seed): the one graph
+    producer, store-backed under :func:`~repro.runtime.keys.graph_key`."""
+    from repro.graphs import load_dataset
+
+    return get_or_compute(
+        store, graph_key(dataset, scale, seed),
+        lambda: load_dataset(dataset, scale=scale, seed=seed),
+    )
+
+
+def train_or_load(task: GCoDTask, store: Optional[ArtifactStore],
+                  graphs: Optional[Callable] = None):
+    """The trained pipeline of ``task``: the one ``GCoDTask -> GCoDResult``
+    producer, store-backed under ``task.key()``.
+
+    The graph is lazy: only a miss calls ``graphs(dataset, scale, seed)``
+    (default: the bare :func:`dataset_graph`), so a store hit loads no
+    graph at all. Callers with a memo pass its lookup instead.
+    """
+    from repro.algorithm import run_gcod
+
+    def train():
+        produce = graphs or partial(dataset_graph, store)
+        graph = produce(task.dataset, task.scale, task.seed)
+        return run_gcod(graph, task.arch, task.config)
+
+    return get_or_compute(store, task.key(), train,
+                          summary=lambda result: result.to_summary_dict())
+
+
 def _execute_task(payload: Tuple[str, GCoDTask]) -> Tuple[str, str]:
-    """Pool worker: run one GCoD task and persist it into the store.
+    """Pool worker: train-or-load one GCoD task into the store.
 
     Failures are re-raised as :class:`GCoDTaskError` naming the task. The
     store's atomic writes guarantee a dying worker leaves no partial entry
@@ -197,19 +240,11 @@ def _execute_task(payload: Tuple[str, GCoDTask]) -> Tuple[str, str]:
     workers completed.
     """
     root, task = payload
-    from repro.algorithm import run_gcod
-    from repro.graphs import load_dataset
     from repro.sparse.kernels import set_default_backend
 
     try:
         set_default_backend(task.kernel_backend)
-        store = ArtifactStore(root)
-        graph = _task_graph(task, store)
-        result = run_gcod(graph, task.arch, task.config)
-        key = task.key()
-        store.put(key, result, summary=result.to_summary_dict())
-    except GCoDTaskError:
-        raise
+        train_or_load(task, ArtifactStore(root))
     except Exception as exc:
         raise _task_error(task, exc) from exc
     return (task.dataset, task.arch)
@@ -221,19 +256,6 @@ def _task_error(task: GCoDTask, exc: Exception) -> GCoDTaskError:
         f"GCoD task ({task.dataset}, {task.arch}) failed: "
         f"{type(exc).__name__}: {exc}"
     )
-
-
-def _task_graph(task: GCoDTask, store: Optional[ArtifactStore]):
-    """The graph at the *task's* scale and seed, store-backed."""
-    from repro.graphs import load_dataset
-
-    gkey = graph_key(task.dataset, task.scale, task.seed)
-    graph = store.get(gkey) if store is not None else None
-    if graph is None:
-        graph = load_dataset(task.dataset, scale=task.scale, seed=task.seed)
-        if store is not None:
-            store.put(gkey, graph)
-    return graph
 
 
 def warm_tasks(
@@ -289,37 +311,14 @@ def warm_tasks(
             context.gcod(task.dataset, task.arch)
         else:
             # Custom-config task (a sweep point): train exactly what the
-            # task says, never the context's re-derived config.
+            # task says, never the context's re-derived config, and keep
+            # it out of memory.
             try:
-                _execute_task_inline(context, task)
-            except GCoDTaskError:
-                raise
+                train_or_load(task, store, context.graph_at)
             except Exception as exc:
                 raise _task_error(task, exc) from exc
         say(f"  trained ({task.dataset}, {task.arch})")
     return 1
-
-
-def _execute_task_inline(context, task: GCoDTask) -> None:
-    """Serial counterpart of :func:`_execute_task`: same store protocol,
-    but no process-global backend default is touched (the task's config
-    already names its backend). The graph comes from the context's memo
-    only when the task shares the context's scale and seed — an arbitrary
-    task trains on the graph *its* key names, exactly like a pool worker.
-    """
-    from repro.algorithm import run_gcod
-
-    store: Optional[ArtifactStore] = context.store
-    if store is not None and store.contains(task.key()):
-        return
-    if (task.scale == context.scale_for(task.dataset)
-            and task.seed == context.seed):
-        graph = context.graph(task.dataset)
-    else:
-        graph = _task_graph(task, store)
-    result = run_gcod(graph, task.arch, task.config)
-    if store is not None:
-        store.put(task.key(), result, summary=result.to_summary_dict())
 
 
 def execute_plan(
@@ -339,15 +338,17 @@ def execute_plan(
     warm_tasks(plan.tasks, context, jobs=jobs, progress=progress)
 
     for spec in plan.specs:
-        key = plan.experiment_keys[spec.name]
         t_exp = time.perf_counter()
-        result = store.get(key) if store is not None else None
-        if result is not None:
+        rendered = []
+
+        def render(spec=spec):
+            rendered.append(spec.name)
+            return spec.runner(context)
+
+        result = get_or_compute(store, plan.experiment_keys[spec.name],
+                                render, summary=lambda r: {"name": r.name})
+        if not rendered:  # read back from the store
             report.cache_hits.append(spec.name)
-        else:
-            result = spec.runner(context)
-            if store is not None:
-                store.put(key, result, summary={"name": result.name})
         report.results[spec.name] = result
         report.timings[spec.name] = time.perf_counter() - t_exp
         say(f"  {spec.name}: {report.timings[spec.name]:.2f}s"

@@ -41,7 +41,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.runtime.backends import (
     STALE_TMP_S,
@@ -369,6 +369,29 @@ class ArtifactStore:
                 out["tmp"] = {"entries": tmp_n, "bytes": tmp_b}
         out["total"] = {"entries": total_n, "bytes": total_b}
         return out
+
+
+def get_or_compute(
+    store: Optional[ArtifactStore],
+    key: ArtifactKey,
+    compute: Callable[[], Any],
+    summary: Optional[Callable[[Any], Dict[str, Any]]] = None,
+) -> Any:
+    """The artifact under ``key``: read from ``store``, or computed and put.
+
+    The one fetch/produce/persist protocol every stored kind goes through.
+    ``store=None`` only computes. ``summary`` maps a freshly computed
+    artifact to its metadata-sidecar summary. A corrupted entry reads as a
+    miss (and is dropped by ``get``) and an unwritable store still returns
+    the artifact, so neither ever fails the caller.
+    """
+    artifact = store.get(key) if store is not None else None
+    if artifact is None:
+        artifact = compute()
+        if store is not None:
+            store.put(key, artifact,
+                      summary=summary(artifact) if summary else None)
+    return artifact
 
 
 _DEFAULT_STORE: Optional[ArtifactStore] = None

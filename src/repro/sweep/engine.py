@@ -42,9 +42,10 @@ from repro.runtime.keys import ArtifactKey
 from repro.runtime.runner import (
     GCoDTask,
     GCoDTaskError,
-    _execute_task_inline,
     _task_error,
+    dataset_graph,
     pool_context,
+    train_or_load,
     warm_tasks,
 )
 from repro.runtime.store import ArtifactStore
@@ -230,36 +231,8 @@ class _PointEvaluator:
         self.context = context
         self._pipelines: Dict[str, _Pipeline] = {}
         self._sims: Dict[Tuple[str, int, int], Any] = {}
-        self._graphs: Dict[Tuple[str, int], object] = {}
         self._baselines: Dict[Tuple[str, str, int], Tuple] = {}
         self._platforms: Dict[Tuple[int, float, int], object] = {}
-
-    def _graph(self, dataset: str, seed: int):
-        """The dataset graph at an explicit seed (store-backed).
-
-        The context memoizes graphs at *its own* seed; a ``seed`` sweep
-        axis needs the same dataset regenerated per point seed — under
-        the same :func:`~repro.runtime.keys.graph_key` the training
-        tasks use, so the inline path and the warmed pool path train on
-        identical (store-round-tripped) inputs.
-        """
-        if seed == self.context.seed:
-            return self.context.graph(dataset)
-        memo = (dataset, seed)
-        if memo not in self._graphs:
-            from repro.graphs import load_dataset
-            from repro.runtime.keys import graph_key
-
-            scale = self.context.scale_for(dataset)
-            key = graph_key(dataset, scale, seed)
-            store: Optional[ArtifactStore] = self.context.store
-            graph = store.get(key) if store is not None else None
-            if graph is None:
-                graph = load_dataset(dataset, scale=scale, seed=seed)
-                if store is not None:
-                    store.put(key, graph)
-            self._graphs[memo] = graph
-        return self._graphs[memo]
 
     def _baseline_reports(self, dataset: str, arch: str, seed: int):
         """AWB-GCN and HyGCN on the untreated (paper-scale) workload.
@@ -274,10 +247,10 @@ class _PointEvaluator:
 
         key = (dataset, arch, seed)
         if key not in self._baselines:
-            plats = self.context.platforms()
-            wl_base = extract_workload(
-                self._graph(dataset, seed), None, arch, paper_scale=True
-            )
+            ctx = self.context
+            plats = ctx.platforms()
+            graph = ctx.graph_at(dataset, ctx.scale_for(dataset), seed)
+            wl_base = extract_workload(graph, None, arch, paper_scale=True)
             self._baselines[key] = (
                 plats["awb-gcn"].run(wl_base), plats["hygcn"].run(wl_base)
             )
@@ -298,29 +271,21 @@ class _PointEvaluator:
             )
         return self._platforms[key]
 
-    def _pipeline(self, point: SweepPoint) -> _Pipeline:
-        """Train-or-load the pipeline behind ``point`` (store-backed)."""
-        from repro.algorithm import run_gcod
+    def _pipeline(self, task: GCoDTask) -> _Pipeline:
+        """Train-or-load the pipeline of ``task`` (store-backed)."""
         from repro.hardware import extract_workload
 
-        key = point.gcod_task().key()
-        if key.digest in self._pipelines:
-            return self._pipelines[key.digest]
-        store: Optional[ArtifactStore] = self.context.store
-        result = store.get(key) if store is not None else None
-        if result is None:
-            result = run_gcod(
-                self._graph(point.dataset, point.seed), point.arch,
-                point.config,
-            )
-            if store is not None:
-                store.put(key, result, summary=result.to_summary_dict())
+        digest = task.key().digest
+        if digest in self._pipelines:
+            return self._pipelines[digest]
+        result = train_or_load(task, self.context.store,
+                               self.context.graph_at)
         layout, adj = result.layout, result.final_graph.adj
-        pipeline = self._pipelines[key.digest] = _Pipeline(
-            digest=key.digest,
+        pipeline = self._pipelines[digest] = _Pipeline(
+            digest=digest,
             result=result,
             workload=extract_workload(
-                result.final_graph, layout, point.arch, paper_scale=True
+                result.final_graph, layout, task.arch, paper_scale=True
             ),
             tiles=(
                 layout.subgraph_workloads(adj),
@@ -359,22 +324,19 @@ class _PointEvaluator:
             ) if agg_dim else None
         return self._sims[key]
 
-    def _evaluate_workload_point(self, point: SweepPoint) -> SweepPointResult:
-        """Metrics for a workload-DAG point (shared-accelerator merge).
+    def evaluate(self, point: SweepPoint) -> SweepPointResult:
+        """Compute one point's metrics (the expensive, counted path).
 
-        Per-node extraction goes through the same store-backed
-        :meth:`_pipeline` records the single-model grid uses (the primary
-        node digests identically, so artifacts and memos are shared); the
-        staged pipeline merges the node reports with PE time-slicing.
-        Baselines run every distinct (dataset, arch) pair serially on the
-        monolithic AWB-GCN/HyGCN platforms — the multi-tenant framing:
-        one shared GCoD accelerator vs a baseline running the models back
-        to back. Every reduction below is a float identity for a
-        single-node DAG (``sum([x]) == x``), keeping byte parity with
-        the legacy path.
+        Every point is a workload DAG: a single-model point is the
+        one-node DAG ``dataset/arch``, and every reduction below is a
+        float identity for one node (``sum([x]) == x``). Per-node
+        extraction goes through the store-backed :meth:`_pipeline`
+        records; the staged pipeline merges the node reports with PE
+        time-slicing. Baselines run every distinct (dataset, arch) pair
+        serially on the monolithic AWB-GCN/HyGCN platforms — the
+        multi-tenant framing: one shared GCoD accelerator vs a baseline
+        running the models back to back.
         """
-        import dataclasses
-
         from repro.hardware.pipeline import (
             PipelineSettings,
             evaluate_workload,
@@ -382,19 +344,13 @@ class _PointEvaluator:
             slice_workload,
         )
 
-        graph = parse_workload(point.workload)
-        scales = dict(point.workload_scales)
-        pipelines: Dict[Tuple[str, str], _Pipeline] = {}
+        counters.record_sweep_point_run()
+        graph = parse_workload(point.workload
+                               or f"{point.dataset}/{point.arch}")
+        tasks = {(t.dataset, t.arch): t for t in point.gcod_tasks()}
 
         def pair_pipeline(dataset: str, arch: str) -> _Pipeline:
-            pair = (dataset, arch)
-            if pair not in pipelines:
-                node_point = dataclasses.replace(
-                    point, dataset=dataset, arch=arch,
-                    scale=scales.get(dataset, point.scale),
-                )
-                pipelines[pair] = self._pipeline(node_point)
-            return pipelines[pair]
+            return self._pipeline(tasks[(dataset, arch)])
 
         def extract_fn(node, _context):
             return pair_pipeline(node.dataset, node.arch).workload
@@ -485,65 +441,31 @@ class _PointEvaluator:
             agg_dma_utilization=dma_util,
         )
 
-    def evaluate(self, point: SweepPoint) -> SweepPointResult:
-        """Compute one point's metrics (the expensive, counted path)."""
-        counters.record_sweep_point_run()
-        if point.workload is not None:
-            return self._evaluate_workload_point(point)
-        awb, hygcn = self._baseline_reports(
-            point.dataset, point.arch, point.seed
-        )
-        pipeline = self._pipeline(point)
-        result, wl = pipeline.result, pipeline.workload
-        platform = self._gcod_platform(
-            point.bits, point.hw_scale, point.tech_node
-        )
-        report = platform.run(wl)
-        budget = platform.budget()
-        sim = self._simulate_aggregation(pipeline, wl,
-                                         platform.pes.num_pes)
-        speedup = awb.latency_s / report.latency_s
-        bw_red = 1.0 - report.required_bandwidth_gbps / max(
-            hygcn.required_bandwidth_gbps, 1e-9
-        )
-        return SweepPointResult(
-            axes=point.axes,
-            dataset=point.dataset,
-            arch=point.arch,
-            num_classes=point.config.num_classes,
-            num_subgraphs=point.config.num_subgraphs,
-            prune_ratio=point.config.prune_ratio,
-            bits=point.bits,
-            hw_scale=point.hw_scale,
-            tech_node=point.tech_node,
-            kernel_backend=point.kernel_backend,
-            speedup_vs_awb=float(speedup),
-            bw_reduction_vs_hygcn=float(bw_red),
-            accuracy=float(result.accuracy_final),
-            balance=float(wl.adjacency.class_balance),
-            gcod_latency_s=float(report.latency_s),
-            awb_latency_s=float(awb.latency_s),
-            gcod_required_bw_gbps=float(report.required_bandwidth_gbps),
-            hygcn_required_bw_gbps=float(hygcn.required_bandwidth_gbps),
-            gcod_energy_j=float(report.energy.total_j),
-            gcod_dram_bytes=float(report.offchip_bytes),
-            area_mm2=float(budget.area_mm2),
-            tdp_w=float(budget.tdp_w),
-            comb_energy=report.combination.energy,
-            agg_energy=report.aggregation.energy,
-            agg_sim_cycles=float(sim.cycles) if sim is not None else 0.0,
-            agg_dma_utilization=(
-                float(sim.dma_utilization) if sim is not None else 0.0
-            ),
-        )
-
-
 def _point_error(point: SweepPoint, exc: Exception) -> GCoDTaskError:
     """The one wrapping for point-evaluation failures (tests match on it)."""
     return GCoDTaskError(
         f"sweep point ({point.label()}) failed: "
         f"{type(exc).__name__}: {exc}"
     )
+
+
+def _evaluate_and_put(evaluator: "_PointEvaluator", point: SweepPoint,
+                      key: ArtifactKey,
+                      store: Optional[ArtifactStore]) -> SweepPointResult:
+    """Evaluate ``point`` (failures named) and persist it under ``key``.
+
+    Every executor's miss path: callers have already decided the point is
+    missing, so there is no ``get`` first.
+    """
+    try:
+        result = evaluator.evaluate(point)
+    except GCoDTaskError:
+        raise
+    except Exception as exc:
+        raise _point_error(point, exc) from exc
+    if store is not None:
+        store.put(key, result, summary=result.to_summary_dict())
+    return result
 
 
 #: Per-process evaluator cache for pool workers, keyed by the context
@@ -582,22 +504,16 @@ def _evaluate_point_worker(payload) -> Tuple[str, bool]:
     root, profile, seed, backend, scales, point = payload
     from repro.sparse.kernels import set_default_backend
 
-    try:
-        # Resolved in the parent; pin it process-wide so a spawn-started
-        # worker sees the same default-backend environment a fork child
-        # inherits.
-        set_default_backend(backend)
-        evaluator = _worker_evaluator(root, profile, seed, backend, scales)
-        store: ArtifactStore = evaluator.context.store
-        key = point.key()
-        if store.contains(key):
-            return point.label(), False
-        result = evaluator.evaluate(point)
-        store.put(key, result, summary=result.to_summary_dict())
-    except GCoDTaskError:
-        raise
-    except Exception as exc:
-        raise _point_error(point, exc) from exc
+    # Resolved in the parent; pin it process-wide so a spawn-started
+    # worker sees the same default-backend environment a fork child
+    # inherits.
+    set_default_backend(backend)
+    evaluator = _worker_evaluator(root, profile, seed, backend, scales)
+    store: ArtifactStore = evaluator.context.store
+    key = point.key()
+    if store.contains(key):
+        return point.label(), False
+    _evaluate_and_put(evaluator, point, key, store)
     return point.label(), True
 
 
@@ -616,7 +532,6 @@ def _evaluate_points_pooled(
     # each worker sharing a dataset would race the store miss and
     # regenerate the same graph. Keyed per (dataset, seed) — a seed axis
     # means the same dataset exists at several generation seeds.
-    prewarmer = _PointEvaluator(context)
     for dataset, seed in dict.fromkeys(
         (ds, plan.points[i].seed)
         for i in pending
@@ -625,7 +540,7 @@ def _evaluate_points_pooled(
             + [d for d, _ in plan.points[i].workload_scales]
         )
     ):
-        prewarmer._graph(dataset, seed)
+        dataset_graph(store, dataset, context.scale_for(dataset), seed)
     payloads = [
         (
             store.root,
@@ -673,9 +588,7 @@ def _warm_tasks_ledger(plan: SweepPlan, context, ledger: WorkLedger,
 
     def work(task: GCoDTask) -> None:
         try:
-            _execute_task_inline(context, task)
-        except GCoDTaskError:
-            raise
+            train_or_load(task, store, context.graph_at)
         except Exception as exc:
             raise _task_error(task, exc) from exc
         say(f"  trained ({task.dataset}, {task.arch})")
@@ -714,14 +627,8 @@ def _evaluate_points_ledger(
 
     def work(i: int) -> None:
         point = plan.points[i]
-        try:
-            result = evaluator.evaluate(point)
-        except GCoDTaskError:
-            raise
-        except Exception as exc:
-            raise _point_error(point, exc) from exc
-        local[i] = result
-        store.put(plan.keys[i], result, summary=result.to_summary_dict())
+        result = local[i] = _evaluate_and_put(evaluator, point,
+                                              plan.keys[i], store)
         report.points_evaluated += 1
         say(f"  [{i + 1}/{total}] {point.label()}: "
             f"{result.speedup_vs_awb:.2f}x vs AWB-GCN (claimed)")
@@ -836,16 +743,9 @@ def execute_sweep(
                     counters.record_sweep_point_skip()
                 # a corrupted/missing entry degrades to a recompute below
             if result is None:
-                try:
-                    result = evaluator.evaluate(point)
-                except GCoDTaskError:
-                    raise
-                except Exception as exc:
-                    raise _point_error(point, exc) from exc
+                result = _evaluate_and_put(evaluator, point, plan.keys[i],
+                                           store)
                 report.points_evaluated += 1
-                if store is not None:
-                    store.put(plan.keys[i], result,
-                              summary=result.to_summary_dict())
                 say(f"  [{i + 1}/{len(plan.points)}] {point.label()}: "
                     f"{result.speedup_vs_awb:.2f}x vs AWB-GCN")
             if manifest is not None and plan.keys[i].digest not in \

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import replace
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -229,15 +230,7 @@ class SweepPoint:
 
     def gcod_task(self) -> GCoDTask:
         """The training run this point depends on (pool-schedulable)."""
-        return GCoDTask(
-            dataset=self.dataset,
-            arch=self.arch,
-            scale=self.scale,
-            seed=self.seed,
-            profile=self.profile,
-            kernel_backend=self.kernel_backend,
-            config=self.config,
-        )
+        return self._tasks[0]
 
     def gcod_tasks(self) -> List[GCoDTask]:
         """Every training run this point depends on, primary first.
@@ -250,9 +243,23 @@ class SweepPoint:
         the primary pair digests identically to the legacy task and
         shares its stored artifact.
         """
-        tasks = [self.gcod_task()]
+        return list(self._tasks)
+
+    @cached_property
+    def _tasks(self) -> Tuple[GCoDTask, ...]:
+        # Built once per point, so each task's key is hashed once: the
+        # planner's dedupe and the evaluator share it.
+        tasks = [GCoDTask(
+            dataset=self.dataset,
+            arch=self.arch,
+            scale=self.scale,
+            seed=self.seed,
+            profile=self.profile,
+            kernel_backend=self.kernel_backend,
+            config=self.config,
+        )]
         if self.workload is None:
-            return tasks
+            return tuple(tasks)
         from repro.hardware.pipeline import parse_workload
 
         scales = dict(self.workload_scales)
@@ -268,7 +275,7 @@ class SweepPoint:
                 arch=node.arch,
                 scale=scales.get(node.dataset, self.scale),
             ))
-        return tasks
+        return tuple(tasks)
 
     def label(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.axes)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.runtime.registry import all_experiments
 
 
 def test_parser_knows_all_commands():
@@ -19,7 +20,7 @@ def test_experiment_registry_matches_modules():
     assert {"fig04", "fig09", "fig10", "fig11", "fig12", "tab03", "tab04",
             "tab05", "tab06", "tab07", "ablation-cs", "ablation-design",
             "training-cost", "reordering",
-            "multi-tenant"} == set(EXPERIMENTS)
+            "multi-tenant"} == {spec.name for spec in all_experiments()}
 
 
 def test_cli_static_experiment(capsys):

@@ -11,7 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-import repro.evaluation.context as context_mod
+import repro.algorithm
+import repro.graphs
 from repro.evaluation.context import EvalContext
 
 
@@ -32,8 +33,9 @@ def stubbed(monkeypatch):
         calls["gcod"] += 1
         return ("result", calls["gcod"], arch, config.kernel_backend)
 
-    monkeypatch.setattr(context_mod, "load_dataset", fake_load)
-    monkeypatch.setattr(context_mod, "run_gcod", fake_run_gcod)
+    # the producers in repro.runtime.runner import both per call
+    monkeypatch.setattr(repro.graphs, "load_dataset", fake_load)
+    monkeypatch.setattr(repro.algorithm, "run_gcod", fake_run_gcod)
     return calls
 
 

@@ -44,12 +44,10 @@ def micro_ctx(store=None):
 def explode_on_citeseer(monkeypatch):
     """Make run_gcod raise for citeseer only (inherited by forked workers).
 
-    Patched in both namespaces that bind the symbol: the pool worker
-    imports it from ``repro.algorithm`` per call, while the serial path
-    (``EvalContext.gcod``) bound it at module import.
+    Every path trains through ``repro.runtime.runner.train_or_load``,
+    which imports ``run_gcod`` from ``repro.algorithm`` per call.
     """
     import repro.algorithm
-    import repro.evaluation.context
 
     real = repro.algorithm.run_gcod
 
@@ -59,7 +57,6 @@ def explode_on_citeseer(monkeypatch):
         return real(graph, arch, config)
 
     monkeypatch.setattr(repro.algorithm, "run_gcod", exploding)
-    monkeypatch.setattr(repro.evaluation.context, "run_gcod", exploding)
     return monkeypatch
 
 

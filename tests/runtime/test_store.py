@@ -10,7 +10,11 @@ import pytest
 from repro.algorithm import GCoDConfig
 from repro.runtime import keys as rkeys
 from repro.runtime.backends import StoreBackendError
-from repro.runtime.store import ArtifactStore, default_cache_dir
+from repro.runtime.store import (
+    ArtifactStore,
+    default_cache_dir,
+    get_or_compute,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -277,3 +281,102 @@ def test_stale_temps_swept_on_init(tmp_path):
     assert stats["total"]["entries"] == 1
     # the real entry survived the sweep
     assert reopened.get(_gcod_key()) == "x"
+
+
+# ---------------------------------------------------------------------------
+# get_or_compute: the one fetch/produce/persist protocol
+# ---------------------------------------------------------------------------
+
+class _Compute:
+    """A counting ``compute`` callable."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.value
+
+
+def test_get_or_compute_hit_never_computes(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    store.put(_gcod_key(), {"stored": True})
+    compute = _Compute({"fresh": True})
+    assert get_or_compute(store, _gcod_key(), compute) == {"stored": True}
+    assert compute.calls == 0
+
+
+def test_get_or_compute_miss_computes_once_and_writes_summary(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    compute = _Compute({"n": 3})
+    out = get_or_compute(store, _gcod_key(), compute,
+                         summary=lambda a: {"n": a["n"]})
+    assert out == {"n": 3} and compute.calls == 1
+    assert get_or_compute(store, _gcod_key(), compute) == {"n": 3}
+    assert compute.calls == 1
+    [entry] = store.entries()
+    assert entry.meta["summary"] == {"n": 3}
+
+
+def test_get_or_compute_without_store_only_computes(tmp_path):
+    compute = _Compute("x")
+    assert get_or_compute(None, _gcod_key(), compute) == "x"
+    assert get_or_compute(None, _gcod_key(), compute) == "x"
+    assert compute.calls == 2  # nothing persisted, nothing memoized
+
+
+def test_get_or_compute_recomputes_corrupted_entry(tmp_path, capsys):
+    store = ArtifactStore(str(tmp_path))
+    key = _gcod_key()
+    store.put(key, {"fine": True})
+    with open(store._data_path(key), "wb") as fh:
+        fh.write(b"\x80\x05 this is not a pickle")
+    compute = _Compute({"fine": "again"})
+    assert get_or_compute(store, key, compute) == {"fine": "again"}
+    assert compute.calls == 1
+    assert "dropping corrupted entry" in capsys.readouterr().err
+    assert store.get(key) == {"fine": "again"}  # rewritten
+
+
+def test_get_or_compute_unwritable_root_still_returns(tmp_path, capsys):
+    root = tmp_path / "blocked"
+    root.write_text("not a directory")
+    store = ArtifactStore(str(root))
+    compute = _Compute({"expensive": True})
+    assert get_or_compute(store, _gcod_key(), compute) == {"expensive": True}
+    assert "could not persist" in capsys.readouterr().err
+    assert not store.contains(_gcod_key())
+
+
+def test_stored_pipeline_loads_no_graph(tmp_path, monkeypatch):
+    """A stored pipeline read back through ``EvalContext.gcod`` or a sweep
+    evaluator never generates (or reads) its training graph."""
+    import repro.graphs
+    import repro.graphs.datasets
+    from repro.evaluation import EvalContext
+    from repro.runtime.keys import KIND_GRAPH
+    from repro.sweep import SweepSpec
+    from repro.sweep.engine import _PointEvaluator
+    from repro.sweep.spec import expand
+
+    def micro_ctx():
+        return EvalContext(profile="fast", dataset_scales={"cora": 0.06},
+                           store=ArtifactStore(str(tmp_path)))
+
+    warmed = micro_ctx().gcod("cora", "gcn")
+    micro_ctx().store.clear(kind=KIND_GRAPH)
+
+    def no_graphs(*args, **kwargs):
+        raise AssertionError("a store hit loaded a graph")
+
+    monkeypatch.setattr(repro.graphs, "load_dataset", no_graphs)
+    monkeypatch.setattr(repro.graphs.datasets, "load_dataset", no_graphs)
+
+    ctx = micro_ctx()
+    assert ctx.gcod("cora", "gcn").accuracy_final == warmed.accuracy_final
+    ctx = micro_ctx()
+    [point] = expand(SweepSpec(name="t", title="t",
+                               axes={"dataset": ("cora",)}), ctx)
+    pipeline = _PointEvaluator(ctx)._pipeline(point.gcod_task())
+    assert pipeline.result.accuracy_final == warmed.accuracy_final
+    assert ctx._graphs == {}

@@ -34,9 +34,24 @@ def spec_for(grid):
 
 @pytest.fixture(scope="module")
 def seed_sweep(tmp_path_factory):
+    import repro.graphs
+
     store = ArtifactStore(str(tmp_path_factory.mktemp("seed-sweep")))
     spec = spec_for("dataset=cora;C=1;S=2;seed=0,1")
-    return spec, run_sweep(micro_ctx(store), spec, jobs=1), store
+    loads = []
+    real_load = repro.graphs.load_dataset
+
+    def counting_load(name, scale=None, seed=0):
+        loads.append((name, seed))
+        return real_load(name, scale=scale, seed=seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.graphs, "load_dataset", counting_load)
+        report = run_sweep(micro_ctx(store), spec, jobs=1)
+    # training and baselines share the context's graph memo: one
+    # generation per distinct (dataset, seed)
+    assert sorted(loads) == [("cora", 0), ("cora", 1)]
+    return spec, report, store
 
 
 def test_two_seeds_train_two_pipelines(seed_sweep):
