@@ -2,7 +2,7 @@
 """Benchmark ``repro serve``: cold batching + sustained warm throughput.
 
 Drives a real ``python -m repro serve`` subprocess (own artifact store,
-fast-profile scales) through four phases and writes ``BENCH_serve.json``
+fast-profile scales) through three phases and writes ``BENCH_serve.json``
 so CI can chart the trajectory PR over PR:
 
 * **cold** — the first query per (dataset, arch) trains through the
@@ -16,10 +16,6 @@ so CI can chart the trajectory PR over PR:
   latency, and the warm-hit ratio come out of this phase. The warm-hit
   ratio must be exactly 1.0 (zero training on repeated queries) — that
   gate is hard-coded, not a flag.
-* **kernel tier** — raw SpMM, ``compiled`` vs ``vectorized``, timed
-  in-process on the fig10 aggregation shape. When numba is unavailable
-  the speedup is recorded as ``null`` with the probe's reason string —
-  the bench still passes (the service itself degrades identically).
 
 Gates: warm-hit ratio == 1.0 (always); ``--max-p99-ratio R`` fails the
 run if warm p99 exceeds ``R``x warm p50 (CI passes 10); the batching
@@ -163,46 +159,6 @@ def bench_warm(host: str, port: int, clients: int, requests_each: int):
     }
 
 
-def bench_kernel_tier():
-    """Raw SpMM, compiled vs vectorized, on the fig10 aggregation shape."""
-    from repro.evaluation.context import EvalContext
-    from repro.graphs.normalize import symmetric_normalize
-    from repro.sparse import from_scipy, spmm
-    from repro.sparse.kernels.compiled import (
-        numba_available,
-        unavailable_reason,
-    )
-
-    out = {"numba_available": numba_available()}
-    if not numba_available():
-        out["speedup"] = None
-        out["reason"] = unavailable_reason()
-        return out
-    ctx = EvalContext(profile="fast", store=None)
-    rng = np.random.default_rng(0)
-    graph = ctx.graph("nell")
-    a_hat = from_scipy(symmetric_normalize(graph.adj), "csr")
-    b = rng.normal(size=(graph.num_nodes, 16))
-    baseline = spmm(a_hat, b, backend="vectorized")
-    np.testing.assert_allclose(  # compile outside the timed region
-        spmm(a_hat, b, backend="compiled"), baseline, atol=1e-10)
-
-    def best_of(backend: str, repeats: int = 10) -> float:
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            spmm(a_hat, b, backend=backend)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    t_vec = best_of("vectorized")
-    t_jit = best_of("compiled")
-    out["vectorized_ms"] = round(t_vec * 1e3, 3)
-    out["compiled_ms"] = round(t_jit * 1e3, 3)
-    out["speedup"] = round(t_vec / max(t_jit, 1e-9), 2)
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_serve.json")
@@ -236,8 +192,6 @@ def main(argv=None) -> int:
             proc.wait(timeout=10)
         shutil.rmtree(store_root, ignore_errors=True)
 
-    kernel = bench_kernel_tier()
-
     # The warm phase re-queries one already-trained key: every response
     # must be warm and the server must not have trained anything beyond
     # the cold + batching dispatches.
@@ -258,7 +212,6 @@ def main(argv=None) -> int:
         "warm": warm,
         "warm_hit_ratio": warm_hit_ratio,
         "server_stats": stats,
-        "kernel_tier": kernel,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -274,11 +227,6 @@ def main(argv=None) -> int:
     print(f"warm: {warm['requests']} requests, {warm['clients']} clients: "
           f"{warm['qps']} q/s, p50 {warm['p50_ms']}ms, "
           f"p99 {warm['p99_ms']}ms (ratio {warm['p99_over_p50']}x)")
-    if kernel["speedup"] is None:
-        print(f"kernel tier: compiled unavailable ({kernel['reason']})")
-    else:
-        print(f"kernel tier: compiled {kernel['speedup']}x over "
-              f"vectorized raw SpMM")
     print(f"-> {args.out}")
 
     failed = False

@@ -10,13 +10,11 @@ kernels while producing the same numbers to 1e-10.
 import time
 
 import numpy as np
-import pytest
 from conftest import show
 
 from repro.evaluation.context import ExperimentResult
 from repro.graphs.normalize import symmetric_normalize
 from repro.sparse import from_scipy, spmm
-from repro.sparse.kernels.compiled import numba_available, unavailable_reason
 
 MIN_SPEEDUP = 5.0
 
@@ -66,42 +64,5 @@ def test_fast_spmm_backends_speedup_on_fig10_workload(ctx):
     for row in rows:
         assert row[-1] >= MIN_SPEEDUP, (
             f"{row[2]} SpMM only {row[-1]}x faster than reference "
-            f"on {row[0]}/{row[1]} (need >= {MIN_SPEEDUP}x)"
-        )
-
-
-@pytest.mark.skipif(not numba_available(),
-                    reason=f"numba unavailable: {unavailable_reason()}")
-def test_compiled_spmm_speedup_on_fig10_workload(ctx):
-    """The JIT tier's acceptance gate: >= 5x over ``vectorized`` raw SpMM
-    on the fig10 workloads, at identical numbers (<= 1e-10)."""
-    rng = np.random.default_rng(0)
-    rows = []
-    for dataset, fmt in (("nell", "csr"), ("reddit", "csr"),
-                         ("nell", "csc"), ("reddit", "csc")):
-        graph = ctx.graph(dataset)
-        a_hat = from_scipy(symmetric_normalize(graph.adj), fmt)
-        b = rng.normal(size=(graph.num_nodes, HIDDEN_WIDTH))
-        vec_out = spmm(a_hat, b, backend="vectorized")
-        # Compute once before timing so the first-call JIT compile (and
-        # any on-disk cache miss) stays outside the measured region.
-        out = spmm(a_hat, b, backend="compiled")
-        np.testing.assert_allclose(out, vec_out, atol=1e-10)
-        t_vec = _best_of(lambda: spmm(a_hat, b, backend="vectorized"), 10)
-        t_jit = _best_of(lambda: spmm(a_hat, b, backend="compiled"), 10)
-        speedup = t_vec / max(t_jit, 1e-9)
-        rows.append((dataset, fmt, graph.adj.nnz,
-                     round(t_vec * 1e3, 3), round(t_jit * 1e3, 3),
-                     round(speedup, 1)))
-
-    show(ExperimentResult(
-        name="SpMM kernel backends: vectorized vs compiled (numba)",
-        headers=("dataset", "format", "nnz", "vectorized (ms)",
-                 "compiled (ms)", "speedup"),
-        rows=rows,
-    ))
-    for row in rows:
-        assert row[-1] >= MIN_SPEEDUP, (
-            f"compiled SpMM only {row[-1]}x faster than vectorized "
             f"on {row[0]}/{row[1]} (need >= {MIN_SPEEDUP}x)"
         )

@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Accelerator deep-dive: compile a GCoD design and inspect where time goes.
+"""Accelerator deep-dive: simulate a GCoD design and inspect where time goes.
 
-Runs the Fig. 8 software-hardware pipeline (parse -> allocate -> emit
-templates), then simulates the compiled design and all baselines on Pubmed,
-printing the per-phase latency, off-chip traffic, bandwidth requirement, and
-the Fig. 12-style energy breakdown.
+Trains a GCoD pipeline on Pubmed, then simulates the GCoD accelerator and
+all baselines, printing the per-phase latency, off-chip traffic, bandwidth
+requirement, and the Fig. 12-style energy breakdown.
 """
 
-from repro import GCoDConfig, compile_accelerator, extract_workload, load_dataset, run_gcod
+from repro import GCoDConfig, extract_workload, load_dataset, run_gcod
 from repro.hardware.accelerators import all_platforms
 from repro.utils import format_table
 
@@ -17,19 +16,6 @@ def main() -> None:
     config = GCoDConfig(pretrain_epochs=40, retrain_epochs=25,
                         admm_iterations=2, admm_inner_steps=6)
     result = run_gcod(graph, "gcn", config)
-
-    # --- hardware compilation (Fig. 8) ---------------------------------
-    compiled = compile_accelerator(result.final_graph, "gcn",
-                                   layout=result.layout)
-    print("compiled hardware template:")
-    print(compiled.template)
-    print("chunk allocation (complexity-proportional):")
-    rows = [
-        (c.chunk_id, c.pes, f"{c.buffer_bytes // 1024}KB",
-         f"{c.bandwidth_gbps:.0f}GB/s", f"{c.workload_macs:.2e}")
-        for c in compiled.allocation.all_allocations()
-    ]
-    print(format_table(("chunk", "PEs", "buffer", "bandwidth", "MACs"), rows))
 
     # --- platform comparison at paper scale -----------------------------
     wl_gcod = extract_workload(result.final_graph, result.layout, "gcn",

@@ -10,9 +10,8 @@ A complete Python reproduction of You et al., HPCA 2022
   training algorithm (Sec. IV): degree classes, METIS-like subgraphs,
   groups; ADMM sparsify + polarize; structural patch pruning; early-bird
   tickets;
-* :mod:`repro.hardware` / :mod:`repro.compiler` — the two-pronged
-  accelerator and baseline platform models (Sec. V) plus the Fig. 8
-  software-hardware interface;
+* :mod:`repro.hardware` — the two-pronged accelerator and baseline
+  platform models (Sec. V);
 * :mod:`repro.compression` — the Tab. VII baselines;
 * :mod:`repro.evaluation` — one module per paper table/figure.
 
@@ -32,7 +31,6 @@ from repro.nn import build_model, train_model
 from repro.partition import partition_graph
 from repro.algorithm import GCoDConfig, GCoDResult, run_gcod
 from repro.hardware import extract_workload
-from repro.compiler import compile_accelerator
 
 __version__ = "1.0.0"
 
@@ -46,6 +44,5 @@ __all__ = [
     "GCoDResult",
     "run_gcod",
     "extract_workload",
-    "compile_accelerator",
     "__version__",
 ]

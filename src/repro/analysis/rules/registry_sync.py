@@ -1,6 +1,6 @@
 """Rule ``registry-sync``: registries and CLI surfaces cannot drift.
 
-Four drift classes this catches, all of which have bitten registries
+Five drift classes this catches, all of which have bitten registries
 like this one before:
 
 * an experiment module under ``evaluation/experiments/`` that never
@@ -15,11 +15,10 @@ like this one before:
   arguments must derive their ``choices`` from the registry (a name or
   call), never a literal tuple;
 * a kernel-backend class under ``sparse/kernels/`` (a concrete ``name``
-  on a ``*Backend`` subclass) that the kernels package never wires up —
-  neither ``register_backend(Cls())`` nor a
-  ``register_lazy_backend("name", ...)`` entry. Such a backend imports
-  fine but can never be requested: ``backend_choices()`` (and with it
-  every CLI surface) omits it;
+  on a ``*Backend`` subclass) that the kernels package never passes to
+  ``register_backend(Cls())``. Such a backend imports fine but can never
+  be requested: ``backend_choices()`` (and with it every CLI surface)
+  omits it;
 * a pipeline-stage class in ``hardware/pipeline.py`` (a concrete
   ``name`` on a ``*Stage`` subclass) that the module never passes to
   ``register_stage()`` — ``get_stage()`` would raise on the name every
@@ -45,7 +44,6 @@ REGISTER_CALL = "register_experiment"
 KERNELS_DIR = "sparse/kernels/"
 KERNELS_INIT = "sparse/kernels/__init__.py"
 REGISTER_BACKEND_CALL = "register_backend"
-REGISTER_LAZY_CALL = "register_lazy_backend"
 
 PIPELINE_MODULE = "hardware/pipeline.py"
 REGISTER_STAGE_CALL = "register_stage"
@@ -163,24 +161,18 @@ class RegistrySyncRule(Rule):
         if init is None:
             return  # partial tree
         registered_classes = set()
-        lazy_names = set()
         for node in ast.walk(init.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = dotted_name(node.func).split(".")[-1]
-            if callee == REGISTER_BACKEND_CALL and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Call):  # register_backend(Cls())
-                    registered_classes.add(
-                        dotted_name(arg.func).split(".")[-1]
-                    )
-            elif callee == REGISTER_LAZY_CALL and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant) and isinstance(arg.value,
-                                                                str):
-                    lazy_names.add(arg.value)
+            if (isinstance(node, ast.Call)
+                    and dotted_name(node.func).split(".")[-1]
+                    == REGISTER_BACKEND_CALL
+                    and node.args
+                    and isinstance(node.args[0], ast.Call)):
+                # register_backend(Cls())
+                registered_classes.add(
+                    dotted_name(node.args[0].func).split(".")[-1]
+                )
         for src, cls, backend_name in self._kernel_backend_classes(ctx):
-            if cls.name in registered_classes or backend_name in lazy_names:
+            if cls.name in registered_classes:
                 continue
             yield Finding(
                 rule=self.id,
@@ -193,9 +185,7 @@ class RegistrySyncRule(Rule):
                     f"surface will omit it"
                 ),
                 hint=f"call {REGISTER_BACKEND_CALL}({cls.name}()) in "
-                     f"{KERNELS_INIT}, or {REGISTER_LAZY_CALL}"
-                     f"({backend_name!r}, loader, fallback=...) for a "
-                     f"probed tier",
+                     f"{KERNELS_INIT}",
             )
 
     def _check_pipeline_stages(self, ctx: LintContext):

@@ -582,14 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--profile", choices=("fast", "full"), default="fast",
                         help="experiment scale profile")
-    # backend_choices() (not available_backends()) so lazily-probed tiers
-    # like `compiled` are always requestable; an unavailable tier resolves
-    # to its fallback with a stderr note instead of an argparse error.
+    # Choices come from the kernel registry, so an unregistered name
+    # exits 2 here instead of failing mid-run.
     parser.add_argument("--kernel-backend", choices=backend_choices(),
                         default=None,
                         help="SpMM kernel backend for all numerics "
-                             "(default: vectorized; `compiled` falls back "
-                             "to vectorized when numba is unavailable)")
+                             "(default: vectorized)")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact store location (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro-gcod)")

@@ -92,9 +92,5 @@ class UnknownSweepError(ReproError, KeyError):
         return ReproError.__str__(self)
 
 
-class CompileError(ReproError):
-    """The hardware compiler could not map the model onto the accelerator."""
-
-
 class ServeProtocolError(ReproError):
     """A malformed `repro serve` wire message (bad JSON, missing fields)."""

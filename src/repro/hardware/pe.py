@@ -32,20 +32,14 @@ class PEArray:
             raise ConfigError("utilization must be in (0, 1]")
         return macs / (self.peak_macs_per_second * utilization)
 
-    def split(self, fraction: float) -> "PEArray":
-        """A sub-array holding ``fraction`` of the PEs (chunk allocation)."""
-        count = max(1, int(round(self.num_pes * fraction)))
-        return PEArray(min(count, self.num_pes), self.clock_hz)
-
     def allocate(self, fractions: Sequence[float]) -> List["PEArray"]:
         """Sub-arrays proportional to ``fractions``, never over-allocating.
 
-        Unlike independent :meth:`split` calls (whose clamped counts can sum
-        past the physical array), this normalizes fractions that sum above
-        1, floors the proportional shares, hands leftover PEs to the largest
-        remainders, and guarantees ``sum(counts) <= num_pes``. Every
-        sub-array gets at least one PE (a zero-fraction branch idles on it),
-        so more sub-arrays than PEs is unsatisfiable and raises.
+        Normalizes fractions that sum above 1, floors the proportional
+        shares, hands leftover PEs to the largest remainders, and
+        guarantees ``sum(counts) <= num_pes``. Every sub-array gets at
+        least one PE (a zero-fraction branch idles on it), so more
+        sub-arrays than PEs is unsatisfiable and raises.
         """
         shares = np.maximum(np.asarray(fractions, dtype=np.float64), 0.0)
         if shares.size > self.num_pes:

@@ -40,11 +40,10 @@ SOURCE_COLD = "cold"
 class ServeRequest:
     """One client query: which trained pipeline to answer from.
 
-    ``kernel_backend`` is any requestable backend name
+    ``kernel_backend`` is a registered backend name
     (:func:`repro.sparse.kernels.backend_choices`); ``None`` means the
-    server process's default. An unavailable lazily-probed tier (e.g.
-    ``compiled`` without numba) resolves to its fallback on the server,
-    and the response reports the *resolved* name.
+    server process's default, and the response reports the resolved
+    name. Any other name gets an error response naming ``KernelError``.
     """
 
     id: str

@@ -141,8 +141,9 @@ class InferenceService:
             else self.ctx.kernel_backend
         ).name
         # replace() shares the memo dicts deliberately: memo keys include
-        # the backend name, and a fallback spelling ("compiled" without
-        # numba) resolves to the same entries as its target backend.
+        # the resolved backend name, so contexts on different backends
+        # never collide. An unregistered name raises KernelError above,
+        # which handle() answers as an error response.
         ctx = (
             self.ctx
             if backend == self.ctx._backend_name()

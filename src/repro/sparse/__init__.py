@@ -20,7 +20,7 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import from_scipy, to_scipy
 from repro.sparse.kernels import (
     KernelBackend,
-    available_backends,
+    backend_choices,
     get_backend,
     set_default_backend,
 )
@@ -36,7 +36,7 @@ __all__ = [
     "CSRMatrix",
     "CSCMatrix",
     "KernelBackend",
-    "available_backends",
+    "backend_choices",
     "from_scipy",
     "get_backend",
     "set_default_backend",

@@ -18,13 +18,7 @@ is an implementation choice. This package makes that choice pluggable:
   schedule: fixed-size row blocks / CSC column runs for the plain kernel
   families, and layout-driven execution (``tiled_spmm``) that follows a
   ``BlockLayout`` and returns a per-tile work profile (owner chunk, nnz,
-  MACs, DMA bytes) next to the numbers;
-* ``compiled`` — numba-JIT product-order SpMM loops (prange over row /
-  feature blocks, fastmath off), numerically identical to ``vectorized``.
-  The tier is *probed at first resolution* behind an import guard: when
-  numba is absent or the probe kernel fails, ``compiled`` resolves to
-  ``vectorized`` with a one-line stderr note, so scripts and cache keys
-  never depend on the machine having a JIT toolchain.
+  MACs, DMA bytes) next to the numbers.
 
 Backends register by name; ``get_backend(None)`` returns the process-wide
 default (``vectorized``). Everything downstream — ``GraphOps``, the training
@@ -32,14 +26,12 @@ loop, the GCoD pipeline, the functional emulator, the CLI — resolves its
 backend through this registry, so ``--kernel-backend reference`` swaps the
 arithmetic engine of the whole stack without touching the hardware model's
 traffic accounting. CLI surfaces derive their choices from
-:func:`backend_choices`, which also lists lazily-probed names, so
-``--kernel-backend compiled`` is always accepted and degrades cleanly.
+:func:`backend_choices`; any other name raises :class:`KernelError`.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,6 +88,21 @@ class KernelBackend:
         return [self.spmm(a, b) for a, b in zip(mats, denses)]
 
     # -- segment primitives (the training-side scatter/gather family) --
+    @staticmethod
+    def check_segment_ids(segments, num_segments: int) -> np.ndarray:
+        """``segments`` as int64, each id checked to lie in
+        ``[0, num_segments)``: numpy would wrap ``-1`` onto the last
+        segment and ``bincount`` would drop or grow past the end."""
+        segments = np.asarray(segments, dtype=np.int64)
+        if segments.size and not (
+            0 <= segments.min() and segments.max() < num_segments
+        ):
+            raise IndexError(
+                f"segment ids must lie in [0, {num_segments}); "
+                f"got [{segments.min()}, {segments.max()}]"
+            )
+        return segments
+
     def segment_sum(
         self, values: np.ndarray, segments: np.ndarray, num_segments: int
     ) -> np.ndarray:
@@ -106,6 +113,7 @@ class KernelBackend:
         self, values: np.ndarray, segments: np.ndarray, num_segments: int
     ) -> np.ndarray:
         """Per-segment elementwise max; empty segments stay ``-inf``."""
+        segments = self.check_segment_ids(segments, num_segments)
         out = np.full((num_segments,) + values.shape[1:], -np.inf)
         np.maximum.at(out, segments, values)
         return out
@@ -131,15 +139,6 @@ def _looks_like(a, cls_name: str) -> bool:
 # registry
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, KernelBackend] = {}
-#: Lazily-probed backends: name -> (loader, fallback name). The loader
-#: runs at most once per process, on first resolution — never at import,
-#: so a CLI invocation that never touches the tier pays nothing.
-_LAZY: Dict[str, Tuple[Callable[[], object], str]] = {}
-#: Probed-and-unavailable backends: name -> (fallback name, reason).
-_FALLBACKS: Dict[str, Tuple[str, str]] = {}
-#: Fallbacks already announced on stderr (one line per process, not per
-#: resolution — resolution happens inside hot loops).
-_FALLBACKS_NOTED: Set[str] = set()
 _DEFAULT_NAME = "vectorized"
 
 BackendLike = Union[None, str, KernelBackend]
@@ -153,50 +152,10 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
     return backend
 
 
-def register_lazy_backend(
-    name: str, loader: Callable[[], object], fallback: str
-) -> None:
-    """Register ``name`` to be built by ``loader`` on first resolution.
-
-    ``loader`` returns either a ready :class:`KernelBackend` (which then
-    registers normally) or a string reason why the tier is unavailable —
-    in which case ``name`` becomes a fallback alias of ``fallback`` for
-    the rest of the process, announced once on stderr. A loader that
-    raises is treated like a reason (the probe is exactly where a broken
-    JIT toolchain should surface, as a degrade instead of a crash).
-    """
-    _LAZY[name] = (loader, fallback)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Concretely registered backend names, sorted.
-
-    Lazily-probed tiers appear here only after a successful probe; use
-    :func:`backend_choices` for the set of names that can be *requested*.
-    """
-    return tuple(sorted(_REGISTRY))
-
-
 def backend_choices() -> Tuple[str, ...]:
-    """Every requestable backend name, sorted — registered, lazily
-    probed, and probed-but-falling-back alike. CLI ``choices=`` must use
-    this (never a literal list): a request for an unavailable tier is
-    still valid, it just resolves to the tier's fallback."""
-    return tuple(sorted(set(_REGISTRY) | set(_LAZY) | set(_FALLBACKS)))
-
-
-def _resolve_lazy(name: str) -> Optional[KernelBackend]:
-    """Run a pending lazy loader; register or record the fallback."""
-    loader, fallback = _LAZY.pop(name)
-    try:
-        built = loader()
-    except Exception as exc:  # repro: lint-ok[except-swallow] — the
-        # reason is printed as the fallback note just below.
-        built = f"{type(exc).__name__}: {exc}"
-    if isinstance(built, KernelBackend):
-        return register_backend(built)
-    _FALLBACKS[name] = (fallback, str(built))
-    return None
+    """Every registered backend name, sorted. CLI ``choices=`` must use
+    this, never a literal list."""
+    return tuple(sorted(_REGISTRY))
 
 
 def get_backend(backend: BackendLike = None) -> KernelBackend:
@@ -207,39 +166,10 @@ def get_backend(backend: BackendLike = None) -> KernelBackend:
         return backend
     if backend in _REGISTRY:
         return _REGISTRY[backend]
-    if backend in _LAZY:
-        built = _resolve_lazy(backend)
-        if built is not None:
-            return built
-    if backend in _FALLBACKS:
-        fallback, reason = _FALLBACKS[backend]
-        if backend not in _FALLBACKS_NOTED:
-            _FALLBACKS_NOTED.add(backend)
-            print(
-                f"repro: kernel backend {backend!r} unavailable "
-                f"({reason}); falling back to {fallback!r}",
-                file=sys.stderr,
-            )
-        return _REGISTRY[fallback]
     raise KernelError(
         f"unknown kernel backend {backend!r}; "
         f"available: {', '.join(backend_choices())}"
     )
-
-
-def _rearm_lazy_backend(
-    name: str, loader: Callable[[], object], fallback: str
-) -> None:
-    """Forget any probe outcome for ``name`` and re-register its loader.
-
-    Test seam: lets a test force the fallback path (loader returning a
-    reason string) and then restore the real loader, regardless of
-    whether the tier is genuinely available on this machine.
-    """
-    _REGISTRY.pop(name, None)
-    _FALLBACKS.pop(name, None)
-    _FALLBACKS_NOTED.discard(name)
-    _LAZY[name] = (loader, fallback)
 
 
 def default_backend() -> KernelBackend:
@@ -266,22 +196,13 @@ from repro.sparse.kernels.tiled import (  # noqa: E402
     layout_tile_profile,
     tiled_spmm,
 )
-from repro.sparse.kernels.compiled import (  # noqa: E402
-    CompiledBackend,
-    load_compiled_backend,
-)
 
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())
 register_backend(TiledBackend())
-# The JIT tier registers lazily: its loader imports numba and compiles
-# the probe kernels only when someone actually asks for "compiled".
-register_lazy_backend("compiled", load_compiled_backend,
-                      fallback="vectorized")
 
 __all__ = [
     "BackendLike",
-    "CompiledBackend",
     "KernelBackend",
     "ReferenceBackend",
     "TileProfile",
@@ -290,13 +211,10 @@ __all__ = [
     "VectorizedBackend",
     "layout_tile_profile",
     "tiled_spmm",
-    "available_backends",
     "backend_choices",
     "check_spmm_shapes",
     "default_backend",
     "get_backend",
-    "load_compiled_backend",
     "register_backend",
-    "register_lazy_backend",
     "set_default_backend",
 ]

@@ -1,199 +1,12 @@
-"""The ``compiled`` kernel tier: numba-JIT CSR/CSC segment-reduce SpMM.
+"""Whether numba is importable, for benchmark fingerprints.
 
-The ``vectorized`` backend already runs every kernel in compiled code —
-scipy's generic sparse routines — but pays per-call overhead it cannot
-shed: container wrapping, format validation, dispatch, and a
-single-threaded matvec loop. This backend JIT-compiles the two
-product-order SpMM loops themselves (LLVM via numba), parallelized with
-``prange`` over fixed-size blocks, and feeds the raw ``indptr`` /
-``indices`` / ``data`` arrays straight in.
-
-Parity contract (the reason this tier is allowed to exist):
-
-* ``fastmath`` stays **off** and both kernels accumulate every output
-  element in exactly the order scipy's reference loops do — rows outer,
-  nonzeros inner for the CSR row product; columns outer, nonzeros inner
-  for the CSC column product. Parallelism never reorders an
-  accumulation: the row product distributes whole output rows across
-  threads, and the column product distributes *feature columns* (each
-  thread replays the full column-order scatter for its slice of the
-  feature dimension). Results are therefore numerically identical to
-  ``vectorized`` — exact for integer/tile accounting, and within
-  float64 round-off (<= 1e-10 relative) for float accumulation — so the
-  functional emulator's ``ExecutionTrace`` and every content-addressed
-  cache key stay valid whichever of the two backends produced them.
-* Everything that is not a product-order SpMM (segment reductions,
-  ``coo_spmm``, the block-diagonal batch path's bookkeeping) is
-  inherited from :class:`~repro.sparse.kernels.vectorized.VectorizedBackend`
-  unchanged; the batch path's one compiled product dispatches back
-  through :meth:`spmm`, so a whole micro-batch runs through the JIT
-  kernel as a single dispatch.
-
-Availability is **probed at first resolution**, never at import: numba
-is imported behind a guard inside :func:`_build_kernels`, and a tiny
-integer-exact probe problem must compile and reproduce the dense answer
-bit-for-bit. If the import or the probe fails,
-:func:`load_compiled_backend` reports the reason and the kernel registry
-registers ``compiled`` as a *fallback alias* of ``vectorized`` — callers
-(CLI ``--kernel-backend compiled``, serve queries, sweep grids) keep
-working with identical numerics and identical artifact bytes, with a
-one-line stderr note the first time the fallback resolves.
+No kernel backend lives here and the kernels package does not import
+this module; it only keeps ``numba_available`` importable.
 """
 
-from __future__ import annotations
-
-from typing import Optional, Tuple
-
-import numpy as np
-
-from repro.sparse.kernels import check_spmm_shapes
-from repro.sparse.kernels.vectorized import VectorizedBackend
-
-#: Rows per parallel work item of the CSR row-product kernel. Blocks keep
-#: the prange trip count small (scheduler overhead) while each item stays
-#: large enough to amortize a thread wake-up on the fig10-scale graphs.
-ROW_BLOCK = 64
-
-#: Feature columns per parallel work item of the CSC column-product
-#: kernel. Each thread replays the whole column-order scatter for its
-#: slice of the feature dimension, so no two threads ever touch the same
-#: output element and the per-element accumulation order is exactly the
-#: serial one.
-COL_BLOCK = 4
-
-# Probe state: the jitted (csr, csc) kernel pair once built, or a sticky
-# human-readable reason why building them is impossible in this process.
-_KERNELS: Optional[Tuple] = None
-_UNAVAILABLE: Optional[str] = None
-
-
-def _build_kernels() -> Optional[Tuple]:
-    """JIT-compile and probe the kernel pair; None (with a recorded
-    reason) when numba is absent or the probe fails."""
-    global _KERNELS, _UNAVAILABLE
-    if _KERNELS is not None or _UNAVAILABLE is not None:
-        return _KERNELS
-    try:
-        from numba import njit, prange
-    except Exception as exc:  # repro: lint-ok[except-swallow] — the reason
-        # is surfaced by the registry's one-line fallback note on stderr.
-        _UNAVAILABLE = f"numba not importable ({type(exc).__name__}: {exc})"
-        return None
-
-    try:
-        @njit(parallel=True, fastmath=False, cache=True)
-        def csr_block_spmm(indptr, indices, data, b, out, block):
-            n_rows = out.shape[0]
-            width = b.shape[1]
-            n_blocks = (n_rows + block - 1) // block
-            for bi in prange(n_blocks):
-                lo = bi * block
-                hi = min(lo + block, n_rows)
-                for i in range(lo, hi):
-                    for jj in range(indptr[i], indptr[i + 1]):
-                        v = data[jj]
-                        col = indices[jj]
-                        for k in range(width):
-                            out[i, k] += v * b[col, k]
-
-        @njit(parallel=True, fastmath=False, cache=True)
-        def csc_block_spmm(indptr, indices, data, b, out, block):
-            n_cols = b.shape[0]
-            width = b.shape[1]
-            n_blocks = (width + block - 1) // block
-            for bi in prange(n_blocks):
-                klo = bi * block
-                khi = min(klo + block, width)
-                for j in range(n_cols):
-                    for jj in range(indptr[j], indptr[j + 1]):
-                        v = data[jj]
-                        row = indices[jj]
-                        for k in range(klo, khi):
-                            out[row, k] += v * b[j, k]
-
-        # Integer-exact probe: a 2x2 operand against a dense reference.
-        # Compiling here (not on the first real workload) turns a broken
-        # toolchain into a clean fallback instead of a mid-run crash.
-        indptr = np.array([0, 1, 3], dtype=np.int64)
-        indices = np.array([1, 0, 1], dtype=np.int64)
-        data = np.array([2.0, 3.0, 4.0])
-        dense = np.zeros((2, 2))
-        dense[0, 1] = 2.0
-        dense[1, 0] = 3.0
-        dense[1, 1] = 4.0
-        b = np.array([[1.0, 10.0], [2.0, 20.0]])
-        out = np.zeros((2, 2))
-        csr_block_spmm(indptr, indices, data, b, out, ROW_BLOCK)
-        if not np.array_equal(out, dense @ b):
-            raise AssertionError("CSR probe kernel produced wrong numbers")
-        out = np.zeros((2, 2))
-        csc_block_spmm(indptr, indices, data, b, out, COL_BLOCK)
-        if not np.array_equal(out, dense.T @ b):
-            raise AssertionError("CSC probe kernel produced wrong numbers")
-    except Exception as exc:  # repro: lint-ok[except-swallow] — ditto: the
-        # registry prints the fallback note naming this reason.
-        _UNAVAILABLE = (
-            f"probe kernel failed to compile/run "
-            f"({type(exc).__name__}: {exc})"
-        )
-        return None
-    _KERNELS = (csr_block_spmm, csc_block_spmm)
-    return _KERNELS
+import importlib.util
 
 
 def numba_available() -> bool:
-    """True when the JIT kernels compiled and passed the probe."""
-    return _build_kernels() is not None
-
-
-def unavailable_reason() -> Optional[str]:
-    """Why the compiled tier is unavailable in this process (or None)."""
-    _build_kernels()
-    return _UNAVAILABLE
-
-
-class CompiledBackend(VectorizedBackend):
-    """numba-JIT product-order SpMM; numerically identical to
-    ``vectorized``, everything else inherited from it."""
-
-    name = "compiled"
-
-    def __init__(self, kernels: Tuple):
-        self._csr_spmm, self._csc_spmm = kernels
-
-    @staticmethod
-    def _operands(a, b: np.ndarray):
-        check_spmm_shapes(a.shape, b)
-        # float64 throughout: the whole numerics stack computes in
-        # float64, and a single dtype keeps the JIT specialization count
-        # (and first-call compile pauses) at one per index width.
-        data = np.ascontiguousarray(np.asarray(a.data, dtype=np.float64))
-        dense = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
-        indptr = np.ascontiguousarray(np.asarray(a.indptr, dtype=np.int64))
-        indices = np.ascontiguousarray(np.asarray(a.indices, dtype=np.int64))
-        return indptr, indices, data, dense
-
-    def spmm_row_product(self, a, b: np.ndarray) -> np.ndarray:
-        indptr, indices, data, dense = self._operands(a, b)
-        out = np.zeros((a.shape[0], dense.shape[1]))
-        self._csr_spmm(indptr, indices, data, dense, out, ROW_BLOCK)
-        return out
-
-    def spmm_column_product(self, a, b: np.ndarray) -> np.ndarray:
-        indptr, indices, data, dense = self._operands(a, b)
-        out = np.zeros((a.shape[0], dense.shape[1]))
-        self._csc_spmm(indptr, indices, data, dense, out, COL_BLOCK)
-        return out
-
-
-def load_compiled_backend():
-    """Lazy-registration loader for the kernel registry.
-
-    Returns a ready :class:`CompiledBackend` when the JIT tier probes
-    healthy, else the reason string the registry folds into its
-    fallback note.
-    """
-    kernels = _build_kernels()
-    if kernels is None:
-        return _UNAVAILABLE or "unavailable"
-    return CompiledBackend(kernels)
+    """True when numba can be imported in this interpreter."""
+    return importlib.util.find_spec("numba") is not None

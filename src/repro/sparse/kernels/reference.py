@@ -63,6 +63,7 @@ class ReferenceBackend(KernelBackend):
     def segment_sum(
         self, values: np.ndarray, segments: np.ndarray, num_segments: int
     ) -> np.ndarray:
+        segments = self.check_segment_ids(segments, num_segments)
         out = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
         np.add.at(out, segments, values)
         return out

@@ -117,8 +117,8 @@ class VectorizedBackend(KernelBackend):
         big = cls(
             (big_data, big_indices, big_indptr), shape=(total_rows, total_cols)
         )
-        # Dispatch through self.spmm so subclasses (the JIT `compiled`
-        # tier) run the whole batch as one kernel dispatch of their own.
+        # Dispatch through self.spmm so a subclass (``tiled``) runs the
+        # whole batch through its own kernels.
         out = np.asarray(self.spmm(big, big_b))
         row_offsets = np.concatenate(
             [[0], np.cumsum([a.shape[0] for a in mats])]
@@ -131,15 +131,7 @@ class VectorizedBackend(KernelBackend):
         self, values: np.ndarray, segments: np.ndarray, num_segments: int
     ) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
-        segments = np.asarray(segments, dtype=np.int64)
-        if segments.size and not (
-            0 <= segments.min() and segments.max() < num_segments
-        ):
-            # bincount would silently truncate what np.add.at surfaces.
-            raise IndexError(
-                f"segment ids must lie in [0, {num_segments}); "
-                f"got [{segments.min()}, {segments.max()}]"
-            )
+        segments = self.check_segment_ids(segments, num_segments)
         if values.ndim == 1:
             return np.bincount(
                 segments, weights=values, minlength=num_segments
@@ -172,7 +164,7 @@ class VectorizedBackend(KernelBackend):
         skip the argsort. Bit-identical to the ``np.maximum.at`` reference.
         """
         values = np.asarray(values)
-        segments = np.asarray(segments, dtype=np.int64)
+        segments = self.check_segment_ids(segments, num_segments)
         out = np.full((num_segments,) + values.shape[1:], -np.inf)
         if segments.size == 0:
             return out

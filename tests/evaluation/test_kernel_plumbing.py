@@ -153,6 +153,16 @@ def test_cli_rejects_unknown_backend(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_cli_rejects_compiled_backend(capsys):
+    # The numba tier is gone; its old spelling is an ordinary unknown name.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["--kernel-backend", "compiled", "train", "cora"]
+        )
+    assert exc.value.code == 2
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err
+
+
 def test_cli_sets_process_default_backend():
     previous = K.set_default_backend("vectorized")
     try:

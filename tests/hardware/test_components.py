@@ -59,14 +59,6 @@ def test_pe_array_compute_time():
     assert pes.compute_seconds(1e12, utilization=0.5) == pytest.approx(2.0)
 
 
-def test_pe_array_split():
-    pes = PEArray(4096, 330e6)
-    half = pes.split(0.5)
-    assert half.num_pes == 2048
-    tiny = pes.split(1e-9)
-    assert tiny.num_pes == 1  # minimum one PE
-
-
 def test_pe_array_allocate_normalizes_overcommit():
     pes = PEArray(4096, 330e6)
     # 0.05-clamped fractions summing to 1.04 must not over-allocate.

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import (
-    GCoDConfig,
-    compile_accelerator,
-    extract_workload,
-    load_dataset,
-    run_gcod,
-)
+from repro import GCoDConfig, extract_workload, load_dataset, run_gcod
 from repro.hardware.accelerators import AWBGCN, GCoDAccelerator, HyGCN, pyg_cpu
 
 
@@ -40,16 +34,6 @@ def test_algorithm_to_hardware_loop(full_run):
 def test_accuracy_survives_codesign(full_run):
     _, result = full_run
     assert result.accuracy_final >= result.accuracy_pretrain - 0.05
-
-
-def test_compile_runs_on_trained_graph(full_run):
-    _, result = full_run
-    compiled = compile_accelerator(result.final_graph, "gcn",
-                                   layout=result.layout)
-    report = compiled.run()
-    assert report.latency_s > 0
-    pes = [c.pes for c in compiled.allocation.chunks]
-    assert sum(pes) < compiled.accelerator.pes.num_pes
 
 
 def test_pipeline_deterministic(full_run):

@@ -157,19 +157,18 @@ def test_malformed_line_gets_error_response(server):
     assert "malformed" in line
 
 
-def test_compiled_spelling_resolves_to_fallback(client):
-    """Without numba, a ``compiled`` query reports the resolved backend
-    and shares the vectorized cache series (no second training run)."""
-    from repro.sparse.kernels import get_backend
-
-    resolved = get_backend("compiled").name
-    warmup = client.query("cora")
-    response = client.query("cora", kernel_backend="compiled")
-    assert response.kernel_backend == resolved
-    if resolved == "vectorized":  # no numba on this machine
-        assert response.source == "warm"
-        assert response.result == warmup.result
-        assert client.stats()["gcod_runs"] == 1
+def test_unregistered_backend_gets_error_response(client):
+    """A query naming an unregistered backend is answered with an error
+    naming ``KernelError``: it counts as an error and trains nothing."""
+    before = client.stats()
+    response = client.call(ServeRequest(id="q-bad-backend", dataset="cora",
+                                        kernel_backend="compiled"))
+    assert response.status == "error"
+    assert response.error.startswith("KernelError:")
+    assert "'compiled'" in response.error
+    after = client.stats()
+    assert after["errors"] - before["errors"] == 1
+    assert after["gcod_runs"] - before["gcod_runs"] == 0
 
 
 def test_store_backed_server_answers_warm_across_restarts(tmp_path):

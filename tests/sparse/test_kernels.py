@@ -58,8 +58,13 @@ def _close(a, b):
 # registry
 # ----------------------------------------------------------------------
 def test_registry_lists_all_backends():
-    names = K.available_backends()
-    assert {"reference", "vectorized", "tiled"} <= set(names)
+    assert K.backend_choices() == ("reference", "tiled", "vectorized")
+
+
+def test_backend_choices_exclude_compiled():
+    assert "compiled" not in K.backend_choices()
+    with pytest.raises(KernelError, match="unknown kernel backend 'compiled'"):
+        K.get_backend("compiled")
 
 
 def test_default_backend_is_vectorized():
@@ -261,6 +266,18 @@ def test_segment_sum_rejects_out_of_range_ids(rng):
         VEC.segment_sum(values, segments, 5)
     with pytest.raises(IndexError):
         REF.segment_sum(values, segments, 5)
+
+
+@pytest.mark.parametrize("name", K.backend_choices())
+@pytest.mark.parametrize("bad_id", [-1, 3])
+@pytest.mark.parametrize("op", ["segment_sum", "segment_max"])
+def test_segment_ops_reject_out_of_range_ids(rng, name, bad_id, op):
+    # numpy would wrap -1 onto the last segment; bincount would drop or
+    # grow past the end. Every backend must raise instead.
+    kernel = getattr(K.get_backend(name), op)
+    for values in (rng.normal(size=3), rng.normal(size=(3, 4))):
+        with pytest.raises(IndexError, match=r"\[0, 3\)"):
+            kernel(values, np.array([0, bad_id, 1]), 3)
 
 
 def test_spmm_batch_handles_non_compressed_scipy_inputs(rng):
