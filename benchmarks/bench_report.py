@@ -9,10 +9,13 @@ Runs the selected experiments twice against a throwaway artifact store:
   training runs, results load from disk.
 
 The JSON written to ``--out`` records both wall times, the speedup ratio,
-per-experiment render timings for each pass, and the training-run
-counters — so CI can chart the perf trajectory PR over PR. With
-``--min-speedup`` the script exits non-zero if the warm pass isn't at
-least that many times faster (the acceptance gate is 5x).
+per-experiment render timings for each pass, the training-run counters
+and the bytes the cold pass left in the store per artifact kind — so CI
+can chart the perf trajectory PR over PR. With ``--min-speedup`` the
+script exits non-zero if the warm pass isn't at least that many times
+faster (the acceptance gate is 5x); with ``--max-store-mb`` it exits
+non-zero if the cold store holds more than that many MB (node features
+are stored as CSR, so a dense copy coming back trips it).
 
 Usage::
 
@@ -75,6 +78,9 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero if warm is not at least this "
                              "many times faster than cold")
+    parser.add_argument("--max-store-mb", type=float, default=None,
+                        help="exit non-zero if the cold pass's store holds "
+                             "more than this many MB")
     args = parser.parse_args(argv)
 
     names = None if args.full else [
@@ -85,11 +91,17 @@ def main(argv=None) -> int:
     store_root = tempfile.mkdtemp(prefix="bench-report-store-")
     try:
         cold = run_pass(store_root, names, args.jobs, scales)
+        store_bytes = {
+            kind: int(row["bytes"])
+            for kind, row in ArtifactStore(store_root).stats().items()
+            if kind != "tmp"
+        }
         warm = run_pass(store_root, names, jobs=1, scales=scales)
     finally:
         shutil.rmtree(store_root, ignore_errors=True)
 
     speedup = cold["wall_s"] / max(warm["wall_s"], 1e-9)
+    store_mb = store_bytes["total"] / 2**20
     payload = {
         "benchmark": "cold vs warm `repro report`",
         "schema": CODE_SCHEMA_VERSION,
@@ -100,6 +112,8 @@ def main(argv=None) -> int:
         "cold": cold,
         "warm": warm,
         "warm_speedup": round(speedup, 2),
+        "cold_store_bytes": store_bytes,
+        "cold_store_mb": round(store_mb, 3),
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -109,7 +123,8 @@ def main(argv=None) -> int:
           f"({cold['gcod_tasks_executed']} GCoD runs)  "
           f"warm: {warm['wall_s']:.2f}s "
           f"({warm['gcod_runs_in_parent']} GCoD runs)  "
-          f"speedup: {speedup:.1f}x  -> {args.out}")
+          f"speedup: {speedup:.1f}x  store: {store_mb:.2f} MB  "
+          f"-> {args.out}")
 
     if warm["gcod_runs_in_parent"] != 0:
         print("FAIL: warm pass performed training runs", file=sys.stderr)
@@ -117,6 +132,10 @@ def main(argv=None) -> int:
     if args.min_speedup is not None and speedup < args.min_speedup:
         print(f"FAIL: warm speedup {speedup:.1f}x < "
               f"required {args.min_speedup}x", file=sys.stderr)
+        return 1
+    if args.max_store_mb is not None and store_mb > args.max_store_mb:
+        print(f"FAIL: cold store holds {store_mb:.2f} MB > "
+              f"allowed {args.max_store_mb} MB", file=sys.stderr)
         return 1
     return 0
 

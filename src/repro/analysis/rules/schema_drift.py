@@ -44,7 +44,9 @@ GOLDEN_REL = "analysis/schema_golden.json"
 #: The serialized dataclasses: everything pickled into the store or
 #: written as a machine-readable document, keyed by defining module.
 SERIALIZED_SHAPES: Dict[str, Tuple[str, ...]] = {
+    "graphs/graph.py": ("Graph",),
     "algorithm/config.py": ("GCoDConfig",),
+    "algorithm/pipeline.py": ("GCoDResult",),
     "sweep/spec.py": ("SweepSpec", "SweepPoint"),
     "sweep/engine.py": ("SweepPointResult",),
     "sweep/manifest.py": ("SweepManifest",),

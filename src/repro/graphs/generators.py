@@ -167,14 +167,17 @@ def _community_features(
     num_classes: int,
     num_features: int,
     density: float,
-) -> np.ndarray:
-    """Sparse bag-of-words features whose support depends on the community."""
+) -> sp.csr_matrix:
+    """Sparse bag-of-words features whose support depends on the community.
+
+    Built as CSR directly: a dense ``N x F`` array would be ~97% zeros.
+    """
     n = communities.shape[0]
     active_per_node = max(1, int(round(num_features * density)))
     # Each community prefers a contiguous band of the vocabulary plus a
     # shared background, mimicking topic-skewed citation abstracts.
     band = max(1, num_features // max(num_classes, 1))
-    features = np.zeros((n, num_features), dtype=np.float64)
+    entries = []  # row * num_features + column of every active word
     for c in range(num_classes):
         nodes = np.nonzero(communities == c)[0]
         if not nodes.size:
@@ -186,10 +189,16 @@ def _community_features(
         noise_ids = rng.integers(
             0, num_features, size=(nodes.size, max(1, active_per_node // 3))
         )
-        for i, node in enumerate(nodes):
-            features[node, band_ids[i]] = 1.0
-            features[node, noise_ids[i]] = 1.0
-    return features
+        ids = np.concatenate([band_ids, noise_ids], axis=1)
+        entries.append(nodes[:, None] * num_features + ids)
+    # A word drawn twice is still one active entry of value 1.
+    flat = np.unique(
+        np.concatenate([np.zeros(0, np.int64)] + [e.ravel() for e in entries])
+    )
+    return sp.csr_matrix(
+        (np.ones(flat.size), (flat // num_features, flat % num_features)),
+        shape=(n, num_features),
+    )
 
 
 def _planetoid_split(

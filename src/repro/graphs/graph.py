@@ -11,6 +11,29 @@ import scipy.sparse as sp
 from repro.errors import ShapeError
 
 
+def _canonical_features(features) -> sp.csr_matrix:
+    """``features`` as a canonical float64 CSR matrix.
+
+    Canonical means sorted column indices, no duplicate and no explicit
+    zero entries: exactly what ``sp.csr_matrix`` builds from the dense
+    array, so the stored-entry count is the non-zero count. An input that
+    already is one is returned as the same object, never copied.
+    """
+    if not sp.issparse(features):
+        return sp.csr_matrix(np.asarray(features, dtype=np.float64))
+    if (
+        isinstance(features, sp.csr_matrix)
+        and features.dtype == np.float64
+        and features.has_canonical_format
+        and features.data.all()
+    ):
+        return features
+    out = sp.csr_matrix(features, dtype=np.float64, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
+
+
 @dataclass
 class Graph:
     """An attributed graph for semi-supervised node classification.
@@ -22,7 +45,14 @@ class Graph:
         CSR form, ``N x N``. Stored *without* self-loops; normalization adds
         them explicitly.
     features:
-        Node feature matrix ``X``, ``N x F`` float64.
+        Node feature matrix ``X``, ``N x F``, held as a canonical float64
+        scipy CSR matrix (sorted indices, no duplicates, no explicit
+        zeros) from construction onwards: bag-of-words features are a few
+        percent non-zero, so the graph and everything that stores it keep
+        only the non-zeros. A dense input is converted once; a canonical
+        CSR input is kept as the same object, so graphs derived with
+        :meth:`with_adj` share one feature matrix. A reader that does
+        dense arithmetic densifies (``features.toarray()``) itself.
     labels:
         Integer class labels, length ``N``.
     train_mask / val_mask / test_mask:
@@ -36,7 +66,7 @@ class Graph:
     """
 
     adj: sp.csr_matrix
-    features: np.ndarray
+    features: sp.csr_matrix
     labels: np.ndarray
     train_mask: np.ndarray
     val_mask: np.ndarray
@@ -46,7 +76,7 @@ class Graph:
 
     def __post_init__(self):
         self.adj = sp.csr_matrix(self.adj)
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _canonical_features(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.adj.shape[0]
         if self.adj.shape[0] != self.adj.shape[1]:
@@ -99,7 +129,10 @@ class Graph:
         return 1.0 - self.density()
 
     def with_adj(self, adj: sp.spmatrix) -> "Graph":
-        """Return a copy of this graph with a replaced adjacency matrix."""
+        """Return a copy of this graph with a replaced adjacency matrix.
+
+        The copy shares this graph's ``features`` object (and ``meta``).
+        """
         return replace(self, adj=sp.csr_matrix(adj))
 
     def validate_symmetric(self, tol: float = 1e-9) -> bool:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.graphs.normalize import symmetric_normalize
@@ -184,6 +185,8 @@ def execute_layer(
         buffer_rows = max(n // 16, 1)
     kernel = get_backend(kernel_backend)
     trace = ExecutionTrace()
+    if sp.issparse(features):  # Graph.features: the datapath reads it dense
+        features = features.toarray()
 
     # ------------------------------------------------------------------
     # combination: XW on all sub-accelerators (row-wise product)
@@ -293,7 +296,7 @@ def execute_gcn(
 def reference_gcn(graph: Graph, weights: List[np.ndarray]) -> np.ndarray:
     """The mathematical reference: ``Â(...Â(Â X W0)W1...)`` with ReLU."""
     a_hat = symmetric_normalize(graph.adj)
-    h = graph.features
+    h = graph.features.toarray()
     for i, w in enumerate(weights):
         h = a_hat @ (h @ w)
         if i < len(weights) - 1:

@@ -259,9 +259,9 @@ def extract_workload(
             "hidden", hidden,
             "a positive hidden width, or None for the dataset default",
         )
-    x_density = float(
-        np.count_nonzero(graph.features) / max(graph.features.size, 1)
-    )
+    # Graph.features is canonical CSR: its stored entries are its non-zeros.
+    rows, cols = graph.features.shape
+    x_density = float(graph.features.nnz / max(rows * cols, 1))
     profile = adjacency_profile(graph.adj, layout)
     f_in = graph.num_features
     num_classes = max(graph.num_classes, 2)

@@ -22,8 +22,13 @@ PathLike = Union[str, Path]
 
 
 def save_graph(graph: Graph, path: PathLike) -> None:
-    """Serialize a :class:`Graph` (adjacency, features, labels, masks, meta)."""
+    """Serialize a :class:`Graph` (adjacency, features, labels, masks, meta).
+
+    The features are written as their CSR members (``features_data``,
+    ``features_indices``, ``features_indptr``, ``features_shape``).
+    """
     coo = graph.adj.tocoo()
+    features = graph.features
     serializable_meta = {
         k: v for k, v in graph.meta.items()
         if isinstance(v, (int, float, str, bool))
@@ -34,7 +39,10 @@ def save_graph(graph: Graph, path: PathLike) -> None:
         adj_col=coo.col,
         adj_data=coo.data,
         num_nodes=np.int64(graph.num_nodes),
-        features=graph.features,
+        features_data=features.data,
+        features_indices=features.indices,
+        features_indptr=features.indptr,
+        features_shape=np.asarray(features.shape, dtype=np.int64),
         labels=graph.labels,
         train_mask=graph.train_mask,
         val_mask=graph.val_mask,
@@ -45,7 +53,11 @@ def save_graph(graph: Graph, path: PathLike) -> None:
 
 
 def load_graph(path: PathLike) -> Graph:
-    """Load a graph saved by :func:`save_graph`."""
+    """Load a graph saved by :func:`save_graph`.
+
+    A file with a dense ``features`` member (the layout written before
+    features were stored as CSR) still loads.
+    """
     with np.load(path, allow_pickle=False) as data:
         n = int(data["num_nodes"])
         adj = sp.csr_matrix(
@@ -55,7 +67,7 @@ def load_graph(path: PathLike) -> Graph:
         meta = json.loads(bytes(data["meta_json"]).decode())
         return Graph(
             adj=adj,
-            features=data["features"],
+            features=_load_features(data),
             labels=data["labels"],
             train_mask=data["train_mask"],
             val_mask=data["val_mask"],
@@ -63,6 +75,19 @@ def load_graph(path: PathLike) -> Graph:
             name=bytes(data["name"]).decode(),
             meta=meta,
         )
+
+
+def _load_features(data) -> Union[np.ndarray, sp.csr_matrix]:
+    if "features" in data.files:
+        return data["features"]
+    return sp.csr_matrix(
+        (
+            data["features_data"],
+            data["features_indices"],
+            data["features_indptr"],
+        ),
+        shape=tuple(int(d) for d in data["features_shape"]),
+    )
 
 
 def save_layout(layout: BlockLayout, path: PathLike) -> None:

@@ -140,7 +140,12 @@ def sparse_input(features) -> sp.csr_matrix:
     training, graph tuning and prediction build this once per call and
     run dropout (:func:`dropout`) and the first layer's ``X W``
     (:func:`matmul`) over its stored entries instead of a dense N x F array.
+    A CSR input (``Graph.features``) is copied, arrays included, so a
+    caller that rewrites the result's ``data`` (Degree-Quant) never
+    reaches the graph; anything else is scanned once.
     """
+    if sp.issparse(features):
+        return sp.csr_matrix(features, dtype=np.float64, copy=True)
     return sp.csr_matrix(np.asarray(features, dtype=np.float64))
 
 

@@ -67,7 +67,8 @@ def train_model(
     ``epoch_callback(epoch, model, val_acc)`` may return ``True`` to stop
     early — this is the hook the early-bird ticket detector uses. When
     ``track_best`` is set the parameters with the best validation accuracy
-    are restored before computing the test accuracy. ``kernel_backend``
+    are restored before computing the test accuracy; either way the model
+    comes back with every parameter's ``grad`` cleared. ``kernel_backend``
     selects the SpMM kernels used for aggregation and for the first layer's
     product (ignored when ``ops`` is supplied, which carries its own
     backend).
@@ -107,6 +108,9 @@ def train_model(
 
     if track_best and result.best_state is not None:
         model.load_state_dict(result.best_state)
+    # The last epoch's gradients belong to weights the model no longer
+    # holds (or is done updating); a stored model must not carry them.
+    model.zero_grad()
     result.test_accuracy = accuracy(
         model, graph, ops, graph.test_mask, features=x
     )

@@ -39,7 +39,10 @@ from typing import Any, Dict, Optional, Tuple
 #: the single-model point sharing its primary node can never collide.
 #: v6: training reads node features as a sparse input and draws dropout
 #: over its stored entries, so every trained artifact's numbers changed.
-CODE_SCHEMA_VERSION = 6
+#: v7: `Graph.features` is a canonical CSR matrix, so stored graphs and
+#: GCoD results changed layout (and stored models no longer carry
+#: gradients).
+CODE_SCHEMA_VERSION = 7
 
 #: Artifact kinds the store recognises (one subdirectory per kind).
 KIND_GRAPH = "graph"

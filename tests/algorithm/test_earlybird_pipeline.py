@@ -1,7 +1,11 @@
 """Early-bird detection and the full 3-step pipeline."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.algorithm import EarlyBirdDetector, GCoDConfig, run_gcod
 from repro.algorithm.earlybird import magnitude_mask, mask_distance
@@ -90,6 +94,27 @@ def test_pipeline_cost_breakdown_consistent(gcod_result):
         cost["step1_fraction"] + cost["step2_fraction"] + cost["step3_fraction"]
     )
     assert fractions == pytest.approx(1.0)
+
+
+def test_pipeline_stage_graphs_share_one_features_object(gcod_result):
+    features = gcod_result.partitioned_graph.features
+    assert gcod_result.tuned_graph.features is features
+    assert gcod_result.final_graph.features is features
+
+
+def test_pickled_result_holds_its_features_once(gcod_result):
+    features = gcod_result.final_graph.features
+    empty = sp.csr_matrix(features.shape)
+    stripped = replace(gcod_result, **{
+        stage: replace(getattr(gcod_result, stage), features=empty)
+        for stage in ("partitioned_graph", "tuned_graph", "final_graph")
+    })
+    saved = len(pickle.dumps(gcod_result)) - len(pickle.dumps(stripped))
+    assert saved <= 1.2 * len(pickle.dumps(features))
+
+
+def test_pipeline_model_carries_no_gradients(gcod_result):
+    assert all(p.grad is None for p in gcod_result.model.parameters())
 
 
 def test_pipeline_summary_text(gcod_result):

@@ -59,9 +59,9 @@ def test_degree_quant_protection_monotone():
 
 
 def test_degree_quant_trains_and_restores_features(tiny_graph):
-    before = tiny_graph.features.copy()
+    before = tiny_graph.features.toarray()
     result, _ = train_degree_quant(tiny_graph, epochs=10, seed=0)
-    np.testing.assert_array_equal(tiny_graph.features, before)
+    np.testing.assert_array_equal(tiny_graph.features.toarray(), before)
     assert result.test_accuracy > 0.3
 
 

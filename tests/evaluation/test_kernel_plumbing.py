@@ -87,7 +87,7 @@ def test_graphops_rejects_unknown_backend(tiny_graph):
 
 def test_graphops_routes_aggregation_through_backend(tiny_graph, counting):
     ops = GraphOps(tiny_graph.adj, kernel_backend="counting")
-    x = Tensor(tiny_graph.features)
+    x = Tensor(tiny_graph.features.toarray())
     ops.agg_sym(x)
     assert counting.calls > 0
 

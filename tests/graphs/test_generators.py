@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.graphs import powerlaw_community_graph
 from repro.graphs.generators import sample_powerlaw_degrees
@@ -69,18 +70,28 @@ def test_features_correlate_with_community():
     g = powerlaw_community_graph(200, 6.0, 60, 4, rng=0)
     # Average feature vectors per community should differ pairwise.
     centroids = np.stack(
-        [g.features[g.labels == c].mean(axis=0) for c in range(4)]
+        [g.features.toarray()[g.labels == c].mean(axis=0) for c in range(4)]
     )
     dots = centroids @ centroids.T
     off_diag = dots[~np.eye(4, dtype=bool)]
     assert np.all(np.diag(dots) > off_diag.max())
 
 
+def test_generated_features_are_canonical_csr():
+    g = powerlaw_community_graph(200, 6.0, 60, 4, rng=0)
+    assert sp.isspmatrix_csr(g.features) and g.features.dtype == np.float64
+    assert g.features.has_canonical_format
+    assert g.features.data.all()  # every stored entry is a non-zero
+    # bag-of-words: every active word has value 1, every node has some
+    np.testing.assert_array_equal(g.features.data, 1.0)
+    assert (np.diff(g.features.indptr) > 0).all()
+
+
 def test_generation_is_deterministic():
     a = powerlaw_community_graph(150, 5.0, 20, 3, rng=42)
     b = powerlaw_community_graph(150, 5.0, 20, 3, rng=42)
     assert (a.adj != b.adj).nnz == 0
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.features.toarray(), b.features.toarray())
 
 
 def test_different_seeds_differ():

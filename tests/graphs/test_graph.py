@@ -46,7 +46,7 @@ def test_with_adj_replaces_only_adjacency():
     g2 = g.with_adj(sp.eye(5, format="csr"))
     assert g2.adj.nnz == 5
     assert g.adj.nnz == 4
-    assert np.array_equal(g2.features, g.features)
+    assert np.array_equal(g2.features.toarray(), g.features.toarray())
 
 
 def test_validate_symmetric():
@@ -89,3 +89,54 @@ def test_shape_errors():
 
 def test_storage_mb_positive():
     assert _make().storage_mb() > 0
+
+
+def _is_canonical_csr(features) -> bool:
+    return (
+        isinstance(features, sp.csr_matrix)
+        and features.dtype == np.float64
+        and features.has_canonical_format
+        and bool(features.data.all())
+    )
+
+
+def test_dense_features_become_canonical_csr():
+    g = _make()
+    assert _is_canonical_csr(g.features)
+    np.testing.assert_array_equal(g.features.toarray(), np.eye(5, 3))
+
+
+def test_non_canonical_csr_features_are_canonicalised_on_a_copy():
+    # duplicates, an explicit zero and int dtype: none may survive, and
+    # the caller's matrix stays as it was
+    raw = sp.csr_matrix(
+        (np.array([1, 2, 0, 3]), np.array([2, 2, 0, 1]), np.array([0, 3, 3, 4, 4, 4])),
+        shape=(5, 3),
+    )
+    before = (raw.data.copy(), raw.indices.copy(), raw.indptr.copy())
+    g = Graph(
+        adj=_make().adj, features=raw, labels=np.zeros(5),
+        train_mask=np.zeros(5), val_mask=np.zeros(5), test_mask=np.zeros(5),
+    )
+    assert _is_canonical_csr(g.features)
+    assert g.features is not raw
+    np.testing.assert_array_equal(g.features.toarray(), raw.toarray())
+    assert g.features.nnz == 2
+    for kept, now in zip(before, (raw.data, raw.indices, raw.indptr)):
+        np.testing.assert_array_equal(kept, now)
+
+
+def test_canonical_csr_features_are_kept_as_the_same_object():
+    features = sp.csr_matrix(np.eye(5, 3))
+    g = Graph(
+        adj=_make().adj, features=features, labels=np.zeros(5),
+        train_mask=np.zeros(5), val_mask=np.zeros(5), test_mask=np.zeros(5),
+    )
+    assert g.features is features
+
+
+def test_with_adj_shares_the_features_object():
+    g = _make()
+    g2 = g.with_adj(sp.eye(5, format="csr"))
+    assert g2.features is g.features
+    assert g2.with_adj(g.adj).features is g.features

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import PartitionError
 from repro.graphs import compute_stats, permute_graph, rcm_permutation
@@ -51,7 +52,12 @@ def test_permute_graph_preserves_structure(tiny_graph, rng):
     assert sorted(permuted.degrees()) == sorted(tiny_graph.degrees())
     assert permuted.num_edges == tiny_graph.num_edges
     assert np.array_equal(permuted.labels, tiny_graph.labels[perm])
-    assert np.array_equal(permuted.features, tiny_graph.features[perm])
+    assert np.array_equal(
+        permuted.features.toarray(), tiny_graph.features.toarray()[perm]
+    )
+    assert sp.isspmatrix_csr(permuted.features)
+    assert permuted.features.dtype == np.float64
+    assert permuted.features.has_canonical_format
 
 
 def test_permute_graph_adjacency_consistent(tiny_graph, rng):

@@ -26,7 +26,7 @@ def ops(tiny_graph):
 
 @pytest.fixture()
 def x(tiny_graph):
-    return Tensor(tiny_graph.features)
+    return Tensor(tiny_graph.features.toarray())
 
 
 @pytest.mark.parametrize("arch", MODEL_ARCHS)
@@ -54,13 +54,13 @@ def test_gcn_matches_equation_one(tiny_graph):
     model = GCN(tiny_graph.num_features, 8, tiny_graph.num_classes, rng=0)
     model.eval()
     ops = GraphOps(tiny_graph.adj)
-    logits = model(Tensor(tiny_graph.features), ops)
+    logits = model(Tensor(tiny_graph.features.toarray()), ops)
 
     from repro.graphs import symmetric_normalize
 
     a_hat = symmetric_normalize(tiny_graph.adj).toarray()
     h = a_hat @ (
-        tiny_graph.features @ model.layers[0].weight.data
+        tiny_graph.features.toarray() @ model.layers[0].weight.data
         + model.layers[0].bias.data
     )
     h = np.maximum(h, 0.0)

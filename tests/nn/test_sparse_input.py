@@ -32,7 +32,7 @@ def test_eval_logits_match_dense_input(arch, tiny_graph):
     model.eval()
     ops = GraphOps(tiny_graph.adj)
     sparse = model(F.sparse_input(tiny_graph.features), ops)
-    dense = model(Tensor(tiny_graph.features), ops)
+    dense = model(Tensor(tiny_graph.features.toarray()), ops)
     np.testing.assert_allclose(sparse.data, dense.data, rtol=1e-10, atol=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_predict_converts_a_dense_array_to_the_sparse_input(tiny_graph):
     model = build_model("gat", tiny_graph, rng=0)
     ops = GraphOps(tiny_graph.adj)
     np.testing.assert_array_equal(
-        model.predict(tiny_graph.features, ops),
+        model.predict(tiny_graph.features.toarray(), ops),
         model.predict(F.sparse_input(tiny_graph.features), ops),
     )
 
@@ -111,3 +111,16 @@ def test_first_layer_backend_parity(tiny_graph):
     ref, vec = results["reference"], results["vectorized"]
     np.testing.assert_allclose(ref[0], vec[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(ref[1], vec[1], rtol=1e-10, atol=1e-12)
+
+
+def test_sparse_input_of_graph_features_never_aliases_them(tiny_graph):
+    # Degree-Quant rewrites the input's data in place every epoch; that
+    # must not reach the graph's own feature arrays.
+    x = F.sparse_input(tiny_graph.features)
+    assert x is not tiny_graph.features
+    for name in ("data", "indices", "indptr"):
+        assert not np.shares_memory(
+            getattr(x, name), getattr(tiny_graph.features, name)
+        ), name
+    np.testing.assert_array_equal(x.toarray(), tiny_graph.features.toarray())
+    np.testing.assert_array_equal(x.indices, tiny_graph.features.indices)

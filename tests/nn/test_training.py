@@ -17,6 +17,15 @@ def test_gcn_learns_tiny_graph(tiny_graph):
     assert result.train_losses[-1] < result.train_losses[0]
 
 
+@pytest.mark.parametrize("track_best", [True, False])
+def test_trained_model_carries_no_gradients(tiny_graph, track_best):
+    # The last epoch's gradients belong to other weights than the restored
+    # best state; a stored model must not pickle them.
+    model = build_model("gcn", tiny_graph, rng=0)
+    train_model(model, tiny_graph, epochs=5, track_best=track_best)
+    assert all(p.grad is None for p in model.parameters())
+
+
 def test_train_tracks_best_epoch(tiny_graph):
     model = build_model("gcn", tiny_graph, rng=0)
     result = train_model(model, tiny_graph, epochs=15)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.io import (
     load_graph,
@@ -19,7 +20,9 @@ def test_graph_roundtrip(tmp_path, tiny_graph):
     save_graph(tiny_graph, path)
     loaded = load_graph(path)
     assert (loaded.adj != tiny_graph.adj).nnz == 0
-    np.testing.assert_array_equal(loaded.features, tiny_graph.features)
+    np.testing.assert_array_equal(
+        loaded.features.toarray(), tiny_graph.features.toarray()
+    )
     np.testing.assert_array_equal(loaded.labels, tiny_graph.labels)
     np.testing.assert_array_equal(loaded.train_mask, tiny_graph.train_mask)
     assert loaded.name == tiny_graph.name
@@ -65,3 +68,41 @@ def test_model_weights_roundtrip(tmp_path, tiny_graph):
     ):
         assert n1 == n2
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+def test_graph_file_stores_features_as_csr_members(tmp_path, tiny_graph):
+    path = tmp_path / "graph.npz"
+    save_graph(tiny_graph, path)
+    with np.load(path) as data:
+        assert "features" not in data.files
+        assert data["features_data"].size == tiny_graph.features.nnz
+        assert tuple(data["features_shape"]) == tiny_graph.features.shape
+    loaded = load_graph(path)
+    assert sp.isspmatrix_csr(loaded.features)
+    assert loaded.features.dtype == np.float64
+    assert loaded.features.has_canonical_format
+    np.testing.assert_array_equal(loaded.features.data, tiny_graph.features.data)
+    np.testing.assert_array_equal(
+        loaded.features.indices, tiny_graph.features.indices
+    )
+    np.testing.assert_array_equal(
+        loaded.features.indptr, tiny_graph.features.indptr
+    )
+
+
+def test_graph_file_with_dense_features_still_loads(tmp_path, tiny_graph):
+    # the layout written while features were dense: one `features` member
+    path = tmp_path / "dense.npz"
+    save_graph(tiny_graph, path)
+    with np.load(path) as data:
+        members = {
+            k: data[k] for k in data.files if not k.startswith("features_")
+        }
+    np.savez_compressed(path, features=tiny_graph.features.toarray(), **members)
+    loaded = load_graph(path)
+    assert sp.isspmatrix_csr(loaded.features)
+    assert loaded.features.has_canonical_format
+    np.testing.assert_array_equal(
+        loaded.features.toarray(), tiny_graph.features.toarray()
+    )
+    assert (loaded.adj != tiny_graph.adj).nnz == 0
