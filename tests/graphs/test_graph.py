@@ -46,7 +46,7 @@ def test_with_adj_replaces_only_adjacency():
     g2 = g.with_adj(sp.eye(5, format="csr"))
     assert g2.adj.nnz == 5
     assert g.adj.nnz == 4
-    assert np.array_equal(g2.features.toarray(), g.features.toarray())
+    assert g2.features is g.features  # shared, not copied
 
 
 def test_validate_symmetric():
@@ -109,9 +109,9 @@ def test_dense_features_become_canonical_csr():
 def test_non_canonical_csr_features_are_canonicalised_on_a_copy():
     # duplicates, an explicit zero and int dtype: none may survive, and
     # the caller's matrix stays as it was
+    data, indices, indptr = [1, 2, 0, 3], [2, 2, 0, 1], [0, 3, 3, 4, 4, 4]
     raw = sp.csr_matrix(
-        (np.array([1, 2, 0, 3]), np.array([2, 2, 0, 1]), np.array([0, 3, 3, 4, 4, 4])),
-        shape=(5, 3),
+        (np.array(data), np.array(indices), np.array(indptr)), shape=(5, 3)
     )
     before = (raw.data.copy(), raw.indices.copy(), raw.indptr.copy())
     g = Graph(
@@ -133,10 +133,3 @@ def test_canonical_csr_features_are_kept_as_the_same_object():
         train_mask=np.zeros(5), val_mask=np.zeros(5), test_mask=np.zeros(5),
     )
     assert g.features is features
-
-
-def test_with_adj_shares_the_features_object():
-    g = _make()
-    g2 = g.with_adj(sp.eye(5, format="csr"))
-    assert g2.features is g.features
-    assert g2.with_adj(g.adj).features is g.features
