@@ -16,7 +16,7 @@ reassembles by matching ``response.id`` to ``request.id``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import ServeProtocolError
@@ -34,6 +34,14 @@ STATUS_ERROR = "error"
 #: Response sources for ``op=query``.
 SOURCE_WARM = "warm"
 SOURCE_COLD = "cold"
+
+
+def _dumps(message) -> str:
+    # A shallow field dict: ``asdict`` would deep-copy ``result`` on every
+    # response for the same bytes.
+    return json.dumps({f.name: getattr(message, f.name)
+                       for f in fields(message)},
+                      sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -54,8 +62,7 @@ class ServeRequest:
 
     def to_json(self) -> str:
         """The request as one compact JSON line (no trailing newline)."""
-        return json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
+        return _dumps(self)
 
 
 @dataclass
@@ -84,8 +91,7 @@ class ServeResponse:
 
     def to_json(self) -> str:
         """The response as one compact JSON line (no trailing newline)."""
-        return json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
+        return _dumps(self)
 
 
 def _decode_line(line: str, what: str) -> Dict[str, Any]:

@@ -7,9 +7,13 @@ pipeline freely):
    (dataset, arch, resolved backend) key is already executing, the
    request attaches to it: it will be answered by the same dispatch and
    counted into its batch size. No new work is created.
-2. **warm** — if the context can answer without training
-   (:meth:`EvalContext.has_gcod`: process memo or artifact store), the
-   summary is served immediately from the cache.
+2. **warm** — a key whose summary is already in the service's per-key
+   memo is answered inline on the event loop: no executor hop, no
+   store lookup, no ``to_summary_dict``. The memo is filled when a
+   training dispatch succeeds, and by the first warm query for a key the
+   context can answer without training (:meth:`EvalContext.has_gcod`:
+   process memo or artifact store), which loads the pipeline once on the
+   executor.
 3. **cold** — otherwise the request enters the micro-batch window for
    its key. The window flushes when it holds ``max_batch`` requests or
    ``max_wait_ms`` after its first request, whichever comes first; the
@@ -17,10 +21,14 @@ pipeline freely):
    every waiter. Identical queries that race each other therefore cost
    one pipeline run, not N.
 
-Training runs on a small thread pool (default width 1) so the event
-loop keeps answering warm queries while a dispatch trains; results land
-in the artifact store through the normal :meth:`EvalContext.gcod` path,
-so the *next* server process starts warm too.
+The executor, a small thread pool (default width 1), has two jobs
+only: training dispatches and the first store load of each key. Warm
+hits never wait behind either, so the loop keeps answering them while a
+dispatch trains. A trained result is immutable and the context keeps it
+for the life of the process anyway, so the memo (one entry per key)
+adds no staleness. Results land in the artifact store through the
+normal :meth:`EvalContext.gcod` path, so the *next* server process
+starts warm too.
 
 Nothing here touches wall clocks for payload content — responses carry
 no timestamps — so repeated identical queries produce byte-identical
@@ -35,7 +43,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.evaluation.context import EvalContext
 from repro.runtime import counters
@@ -120,6 +128,8 @@ class InferenceService:
         }
         self._batches: Dict[BatchKey, _Batch] = {}
         self._inflight: Dict[BatchKey, _Inflight] = {}
+        #: Per-key summary of every trained or loaded pipeline.
+        self._summaries: Dict[BatchKey, dict] = {}
         # The counter is process-global; report runs relative to this
         # service's start so embedded servers (tests, examples) see only
         # their own training.
@@ -183,6 +193,11 @@ class InferenceService:
         key, ctx = self._resolve(req)
         dataset, arch, backend = key
 
+        summary = self._summaries.get(key)
+        if summary is not None:
+            self.stats["warm_hits"] += 1
+            return self._ok(req, key, SOURCE_WARM, summary, -1, None)
+
         # Miss/hit counters (and the shared batch-size box) must reflect
         # only *committed* responses: every await below can raise, and a
         # failed query is reported through `errors`, not as a served miss.
@@ -208,6 +223,7 @@ class InferenceService:
             summary = await loop.run_in_executor(
                 self._executor, self._warm_summary, ctx, dataset, arch
             )
+            self._summaries[key] = summary
             self.stats["warm_hits"] += 1
             return self._ok(req, key, SOURCE_WARM, summary, -1, None)
 
@@ -283,10 +299,12 @@ class InferenceService:
             # does not log "exception was never retrieved".
             done.exception()
             return
-        done.set_result(fut.result())
+        summary = fut.result()
+        self._summaries[key] = summary
+        done.set_result(summary)
         for waiter in batch.waiters:
             if not waiter.done():
-                waiter.set_result(fut.result())
+                waiter.set_result(summary)
 
     # ------------------------------------------------------------------
     # executor-side (synchronous) work
@@ -309,7 +327,9 @@ class InferenceService:
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        # Only unfinished requests: a long-lived connection must not keep
+        # every response it ever sent.
+        tasks: Set[asyncio.Task] = set()
 
         async def serve_line(line: str) -> None:
             try:
@@ -338,7 +358,9 @@ class InferenceService:
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
-                tasks.append(asyncio.ensure_future(serve_line(line)))
+                task = asyncio.ensure_future(serve_line(line))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
         finally:
             try:
                 if tasks:

@@ -1,6 +1,7 @@
 """The serve wire format: round-trips and validation failures."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -40,6 +41,24 @@ def test_response_round_trip():
                          result={"accuracy": 0.8})
     back = parse_response(resp.to_json())
     assert back == resp
+
+
+@pytest.mark.parametrize("message", [
+    ServeRequest(id="q1", dataset="cora", arch="gin", kernel_backend="tiled"),
+    ServeResponse(id="q2", status="ok", source="warm", dataset="cora",
+                  arch="gcn", kernel_backend="vectorized",
+                  result={"accuracy_final": 0.8, "early_bird_epoch": None,
+                          "seed": 0}),
+    ServeResponse(id="q3", status="ok", source="cold", dataset="cora",
+                  arch="gat", kernel_backend="tiled", batch_id=4,
+                  batch_size=3, result={"dense_fraction": 0.25}),
+    ServeResponse(id="q4", status="error", dataset="nope", arch="gcn",
+                  error="KeyError: 'unknown dataset'"),
+], ids=["request", "warm", "cold", "error"])
+def test_to_json_matches_asdict_encoding(message):
+    """The shallow field dict encodes to the same bytes as ``asdict``."""
+    assert message.to_json() == json.dumps(
+        asdict(message), sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("line,fragment", [

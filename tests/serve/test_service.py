@@ -5,10 +5,13 @@ loop, the actual TCP protocol, the actual executor) against micro-scale
 datasets so a cold training dispatch completes in well under a second.
 """
 
+import asyncio
+import gc
 import threading
 
 import pytest
 
+from repro.algorithm.pipeline import GCoDResult
 from repro.evaluation.context import EvalContext
 from repro.runtime.store import ArtifactStore
 from repro.serve import (
@@ -17,6 +20,7 @@ from repro.serve import (
     ServeSettings,
     start_in_thread,
 )
+from repro.serve.service import InferenceService
 
 #: Micro scales: each cold dispatch trains in a fraction of a second.
 MICRO_SCALES = {"cora": 0.06, "citeseer": 0.05}
@@ -219,3 +223,151 @@ def test_request_level_api_matches_helper(client):
     raw = client.call(ServeRequest(id="explicit-1", dataset="cora"))
     assert raw.id == "explicit-1"
     assert raw.status == "ok"
+
+
+def test_warm_queries_answer_from_the_memo(server, client, monkeypatch):
+    """After the one training, warm queries neither summarise the result
+    again nor submit anything to the executor."""
+    summaries = []
+    summarise = GCoDResult.to_summary_dict
+
+    def counting_summary(result):
+        summaries.append(result)
+        return summarise(result)
+
+    monkeypatch.setattr(GCoDResult, "to_summary_dict", counting_summary)
+    cold = client.query("cora")
+    assert cold.source == "cold"
+
+    executor = server.service._executor
+    submits = []
+    submit = executor.submit
+
+    def counting_submit(fn, *args, **kwargs):
+        submits.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "submit", counting_submit)
+    responses = client.query_many([("cora", "gcn")] * 50)
+    assert {r.source for r in responses} == {"warm"}
+    assert all(r.result == cold.result for r in responses)
+    assert len(summaries) <= 1
+    assert submits == []
+    assert client.stats()["warm_hits"] == 50
+
+
+def test_warm_query_answered_while_another_key_trains(server, client,
+                                                      monkeypatch):
+    """A warm key is answered while the executor is blocked training a
+    different key: warm hits never queue behind a dispatch."""
+    client.query("cora")
+    service = server.service
+    entered, release = threading.Event(), threading.Event()
+    train = service._train_summary
+
+    def held_train(key):
+        if key[0] == "citeseer":
+            entered.set()
+            release.wait(timeout=60)
+        return train(key)
+
+    monkeypatch.setattr(service, "_train_summary", held_train)
+    cold = []
+
+    def ask_cold() -> None:
+        with ServeClient(server.host, server.port) as c:
+            cold.append(c.query("citeseer"))
+
+    thread = threading.Thread(target=ask_cold)
+    thread.start()
+    try:
+        assert entered.wait(timeout=60)
+        # A short socket timeout: without the memo this query would wait
+        # for the held training and fail here instead of hanging.
+        with ServeClient(server.host, server.port, timeout=10) as c:
+            warm = c.query("cora")
+        assert warm.source == "warm"
+        assert not release.is_set()
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert [r.source for r in cold] == ["cold"]
+
+
+def test_restarted_server_loads_each_key_once(tmp_path, monkeypatch):
+    """A fresh service over a warm store loads each key through
+    ``_warm_summary`` once, then answers from its memo."""
+    store_root = str(tmp_path)
+    srv1 = start_in_thread(micro_ctx(ArtifactStore(store_root)),
+                           ServeSettings(port=0))
+    try:
+        with ServeClient(srv1.host, srv1.port) as c:
+            c.query_many([("cora", "gcn"), ("citeseer", "gcn")])
+    finally:
+        srv1.stop()
+
+    loads = []
+    warm_summary = InferenceService._warm_summary
+
+    def counting_load(service, ctx, dataset, arch):
+        loads.append(dataset)
+        return warm_summary(service, ctx, dataset, arch)
+
+    monkeypatch.setattr(InferenceService, "_warm_summary", counting_load)
+    srv2 = start_in_thread(micro_ctx(ArtifactStore(store_root)),
+                           ServeSettings(port=0))
+    try:
+        with ServeClient(srv2.host, srv2.port) as c:
+            assert c.query("cora").source == "warm"
+            assert c.query("citeseer").source == "warm"
+            responses = c.query_many([("cora", "gcn"),
+                                      ("citeseer", "gcn")] * 5)
+            assert {r.source for r in responses} == {"warm"}
+            assert c.stats()["gcod_runs"] == 0
+    finally:
+        srv2.stop()
+    assert sorted(loads) == ["citeseer", "cora"]
+
+
+def test_failed_training_is_not_memoised(server, client, monkeypatch):
+    """A training that raises leaves no memo entry; the next query for
+    the key dispatches again, and only a success is served warm."""
+    service = server.service
+    train = service._train_summary
+    dispatches = []
+
+    def failing_once(key):
+        dispatches.append(key)
+        if len(dispatches) == 1:
+            raise RuntimeError("injected training failure")
+        return train(key)
+
+    monkeypatch.setattr(service, "_train_summary", failing_once)
+    with pytest.raises(Exception, match="injected training failure"):
+        client.query("cora")
+    assert service._summaries == {}
+    assert client.query("cora").source == "cold"
+    assert client.query("cora").source == "warm"
+    assert len(dispatches) == 2
+
+
+def test_connection_keeps_only_unfinished_request_tasks(server, client):
+    """A long-lived connection does not hold on to the tasks of the
+    requests it already answered."""
+    client.query("cora")
+    responses = client.query_many([("cora", "gcn")] * 3000)
+    assert {r.source for r in responses} == {"warm"}
+    loop = server._loop
+
+    async def census():
+        gc.collect()
+        # all_tasks() lists unfinished tasks only; a finished task that
+        # something still references shows up among the live objects.
+        live = [obj for obj in gc.get_objects()
+                if isinstance(obj, asyncio.Task) and obj.get_loop() is loop]
+        return len(asyncio.all_tasks()), len(live)
+
+    unfinished, live = asyncio.run_coroutine_threadsafe(
+        census(), loop).result(timeout=60)
+    assert unfinished <= 8
+    assert live <= 8
