@@ -22,7 +22,7 @@ pipeline freely):
    one pipeline run, not N.
 
 The executor, a small thread pool (default width 1), has two jobs
-only: training dispatches and the first store load of each key. Warm
+only: training dispatches and the first store load of each key. Memo
 hits never wait behind either, so the loop keeps answering them while a
 dispatch trains. A trained result is immutable and the context keeps it
 for the life of the process anyway, so the memo (one entry per key)
