@@ -18,6 +18,7 @@ is then automatically invalidated because no new key can match it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
@@ -128,14 +129,32 @@ KEY_FIELD_COVERAGE = {
 }
 
 
+#: Types :func:`jsonable` returns unchanged. Exact types only: a subclass
+#: (``np.float64`` is a ``float``, an ``IntEnum`` an ``int``) takes the
+#: general path below.
+_PRIMITIVES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def jsonable(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-stable primitives.
 
     Handles dataclasses, dicts (keys coerced to ``str``), sequences, and
-    numpy scalars; anything else must already be a JSON primitive.
+    numpy scalars; anything else must already be a JSON primitive. A
+    dataclass becomes a dict of its fields, in field order, exactly as
+    :func:`dataclasses.asdict` would give it, but without deep-copying
+    every field first (key building calls this on every sweep point).
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(dataclasses.asdict(obj))
+    cls = type(obj)
+    if cls in _PRIMITIVES:
+        return obj
+    if dataclasses.is_dataclass(cls):
+        return {name: jsonable(getattr(obj, name))
+                for name in _field_names(cls)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -202,13 +202,15 @@ def pareto_frontier(
         for i, r in enumerate(results)
         if not cons or is_feasible(r, cons)
     ]
-    frontier = [
-        (i, r, s)
-        for i, r, s in scored
-        if not any(_dominates(other, s) for _, _, other in scored)
-    ]
-    frontier.sort(key=lambda irs: tuple(-v for v in irs[2]) + (irs[0],))
-    return [r for _, r, _ in frontier]
+    # Walk order first: anything that dominates a point sorts before it,
+    # and dominance is transitive, so a point is dominated iff a point
+    # already on the frontier dominates it.
+    scored.sort(key=lambda irs: tuple(-v for v in irs[2]) + (irs[0],))
+    frontier: List[Tuple[SweepPointResult, Tuple[float, ...]]] = []
+    for _, r, s in scored:
+        if not any(_dominates(other, s) for _, other in frontier):
+            frontier.append((r, s))
+    return [r for r, _ in frontier]
 
 
 def _metric_cells(r: SweepPointResult) -> tuple:

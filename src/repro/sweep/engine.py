@@ -704,6 +704,9 @@ def execute_sweep(
         manifest = begin_manifest(
             store, context, plan.spec, plan.points, plan.keys
         )
+        # What the store now holds; the finally below writes only if the
+        # sweep changed it.
+        begun = (list(manifest.done), manifest.complete)
 
     if work_ledger is not None:
         # Multi-worker mode: training dedupes through claims, not the
@@ -748,16 +751,14 @@ def execute_sweep(
                 report.points_evaluated += 1
                 say(f"  [{i + 1}/{len(plan.points)}] {point.label()}: "
                     f"{result.speedup_vs_awb:.2f}x vs AWB-GCN")
-            if manifest is not None and plan.keys[i].digest not in \
-                    manifest.done:
-                manifest.done.append(plan.keys[i].digest)
             report.results.append(result)
     finally:
         if manifest is not None:
             # Recompute from store membership: workers may have completed
             # points this process never collected before an interruption.
             manifest.refresh(store)
-            write_manifest(store, context, plan.spec, manifest)
+            if (manifest.done, manifest.complete) != begun:
+                write_manifest(store, context, plan.spec, manifest)
 
     if work_ledger is not None:
         report.ledger_stats = work_ledger.stats.to_dict()

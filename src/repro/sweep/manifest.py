@@ -15,8 +15,8 @@ Two design rules keep resume honest:
   share one manifest;
 * :meth:`SweepManifest.missing_indices` is computed against *store
   membership* of the point entries, not the manifest's own ``done`` list.
-  The ``done`` list is advisory bookkeeping (refreshed as points land and
-  in a ``finally`` when the sweep unwinds); the store is the truth, so a
+  The ``done`` list is advisory bookkeeping (refreshed in a ``finally``
+  when the sweep unwinds); the store is the truth, so a
   process killed between a point write and a manifest update can never
   strand a completed point as "missing" forever — resume just skips it.
 """
@@ -127,7 +127,8 @@ def begin_manifest(
 
     ``done`` starts as whatever the store already holds, so an interrupted
     sweep's second run — with or without ``--resume`` — begins from an
-    accurate ledger.
+    accurate ledger. When the store already holds an equal manifest (a
+    re-run of a finished sweep), nothing is written.
     """
     manifest = SweepManifest(
         sweep=spec.name,
@@ -137,4 +138,9 @@ def begin_manifest(
         labels=[point.label() for point in points],
     )
     manifest.refresh(store)
+    # contains() first, so a cold sweep, which has no manifest yet, makes
+    # no extra get.
+    if store.contains(manifest_key(context, spec)) and \
+            load_manifest(store, context, spec) == manifest:
+        return manifest
     return write_manifest(store, context, spec, manifest)

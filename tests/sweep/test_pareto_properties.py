@@ -9,7 +9,9 @@ experiments happen to produce:
 * frontier membership is invariant under permutation of the points and
   of the objective columns;
 * no frontier point dominates another frontier point, and every excluded
-  point is dominated by some frontier point (soundness + completeness).
+  point is dominated by some frontier point (soundness + completeness);
+* the frontier equals a brute-force all-pairs oracle, in membership and
+  in walk order, with and without constraints.
 
 Uses hypothesis when available and skips cleanly otherwise (the CI image
 installs it).
@@ -27,6 +29,10 @@ from repro.sweep.aggregate import (  # noqa: E402
     dominates,
     pareto_frontier,
     resolve_objectives,
+)
+from repro.sweep.constraints import (  # noqa: E402
+    CONSTRAINT_METRICS,
+    Constraint,
 )
 
 
@@ -134,6 +140,55 @@ def test_single_objective_frontier_is_the_argmax_set(pts):
     assert len(frontier) == sum(
         1 for p in pts if p.speedup_vs_awb == best
     )
+
+
+def brute_force_frontier(pts, objs, constraints=()):
+    """The O(n^2) oracle: keep each feasible point that no feasible point
+    dominates, then sort by descending scores, then grid index."""
+    objs = resolve_objectives(objs)
+    feasible = [(i, p) for i, p in enumerate(pts)
+                if all(c.satisfied(p) for c in constraints)]
+    kept = [(i, p) for i, p in feasible
+            if not any(dominates(q, p, objs) for _, q in feasible)]
+    kept.sort(key=lambda ip: tuple(-o.score(ip[1]) for o in objs)
+              + (ip[0],))
+    return [p for _, p in kept]
+
+
+#: Small point lists over a coarse lattice: duplicates and exact ties on
+#: some objectives are the common case, not the rare one.
+lattice_points = st.builds(FakePoint, *[st.integers(0, 2).map(float)] * 8)
+constraint_sets = st.lists(
+    st.builds(
+        Constraint,
+        st.sampled_from(sorted(CONSTRAINT_METRICS.values(),
+                               key=lambda m: m.name)),
+        st.sampled_from(("<=", "<", ">=", ">")),
+        st.integers(0, 3).map(float),
+    ),
+    max_size=2,
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=st.one_of(point_lists,
+                     st.lists(lattice_points, min_size=0, max_size=24)),
+       objs=st.one_of(objective_sets,
+                      st.sampled_from(sorted(OBJECTIVES)).map(
+                          lambda o: (o,))),
+       constraints=constraint_sets)
+def test_frontier_matches_brute_force(pts, objs, constraints):
+    got = pareto_frontier(pts, objs, constraints)
+    want = brute_force_frontier(pts, objs, constraints)
+    assert [id(p) for p in got] == [id(p) for p in want]
+
+
+def test_frontier_keeps_duplicates_in_grid_order():
+    a, b, c = (FakePoint(2.0, 1.0, *[0.0] * 6),
+               FakePoint(2.0, 1.0, *[0.0] * 6),
+               FakePoint(1.0, 1.0, *[0.0] * 6))
+    frontier = pareto_frontier([c, a, b], ("speedup", "accuracy"))
+    assert [id(p) for p in frontier] == [id(a), id(b)]
 
 
 def test_resolve_objectives_accepts_all_forms():
