@@ -145,9 +145,9 @@ def jsonable(obj: Any) -> Any:
 
     Handles dataclasses, dicts (keys coerced to ``str``), sequences, and
     numpy scalars; anything else must already be a JSON primitive. A
-    dataclass becomes a dict of its fields, in field order, exactly as
-    :func:`dataclasses.asdict` would give it, but without deep-copying
-    every field first (key building calls this on every sweep point).
+    dataclass becomes a dict of its fields, in field order, as with
+    :func:`dataclasses.asdict`, but without deep-copying every field
+    first (key building calls this on every sweep point).
     """
     cls = type(obj)
     if cls in _PRIMITIVES:

@@ -110,7 +110,7 @@ def test_interrupted_sweep_writes_its_progress(store, monkeypatch):
     writes = count_writes(monkeypatch, store)
     with pytest.raises(GCoDTaskError, match="power cut"):
         run_sweep(micro_ctx(store), SPEC, jobs=1)
-    assert ("manifest" in {kind for kind, _ in writes})
+    assert "manifest" in {kind for kind, _ in writes}
     manifest = load_manifest(store, micro_ctx(store), SPEC)
     assert not manifest.complete
     assert manifest.done == manifest.planned[:5]
