@@ -131,16 +131,12 @@ def table(summary: Sequence[dict]) -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench", help="a BENCH_*.json file")
-    parser.add_argument("--benchmark",
-                        default=os.path.join(ROOT, "BENCHMARK.json"),
-                        help="the metric list and bounds (default: the "
-                             "repository's BENCHMARK.json)")
     parser.add_argument("--summary", action="store_true",
                         help="print the summary block as JSON")
     args = parser.parse_args(argv)
     with open(args.bench) as fh:
         bench = json.load(fh)
-    with open(args.benchmark) as fh:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     try:
         summary = summarise(bench, metrics)

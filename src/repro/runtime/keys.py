@@ -18,7 +18,6 @@ is then automatically invalidated because no new key can match it.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
@@ -135,11 +134,6 @@ KEY_FIELD_COVERAGE = {
 _PRIMITIVES = frozenset((str, int, float, bool, type(None)))
 
 
-@functools.lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def jsonable(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-stable primitives.
 
@@ -153,8 +147,8 @@ def jsonable(obj: Any) -> Any:
     if cls in _PRIMITIVES:
         return obj
     if dataclasses.is_dataclass(cls):
-        return {name: jsonable(getattr(obj, name))
-                for name in _field_names(cls)}
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(cls)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

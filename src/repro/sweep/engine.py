@@ -705,8 +705,9 @@ def execute_sweep(
             store, context, plan.spec, plan.points, plan.keys
         )
         # What the store now holds; the finally below writes only if the
-        # sweep changed it.
-        begun = (list(manifest.done), manifest.complete)
+        # sweep changed it (refresh rebinds ``done`` and derives
+        # ``complete`` from it).
+        begun = manifest.done
 
     if work_ledger is not None:
         # Multi-worker mode: training dedupes through claims, not the
@@ -757,7 +758,7 @@ def execute_sweep(
             # Recompute from store membership: workers may have completed
             # points this process never collected before an interruption.
             manifest.refresh(store)
-            if (manifest.done, manifest.complete) != begun:
+            if manifest.done != begun:
                 write_manifest(store, context, plan.spec, manifest)
 
     if work_ledger is not None:

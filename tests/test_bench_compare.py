@@ -34,6 +34,13 @@ def test_reproduces_the_checked_in_summary(path):
     assert bench_compare.summarise(bench, METRICS) == bench["summary"]
 
 
+def test_summary_flag_prints_the_checked_in_block(capsys):
+    path = ROOT / "BENCH_23.json"
+    assert bench_compare.main([str(path), "--summary"]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        json.loads(path.read_text())["summary"]
+
+
 def _bench(parent_cold, change_cold):
     """A one-group file: paired dse-grid runs differing only in cold_s."""
     base = json.loads((ROOT / "BENCH_23.json").read_text())
