@@ -12,8 +12,13 @@ to the parent median, and 2 when the file cannot be compared: a pair
 with one side missing, or a pair whose two fingerprints differ in more
 than the code under test (commit and schema version).
 
+After the table it prints, per (workload, seed), the ``--trace 1`` run's
+per-layer metrics (``per_layer`` in ``BENCHMARK.json``), parent beside
+change, leaving out those that read zero on both sides. The traced runs
+time the layers, not the workload, so they feed no verdict.
+
 ``--summary`` prints the per-group numbers as the JSON ``summary`` block
-a ``BENCH_*.json`` carries, instead of the table.
+a ``BENCH_*.json`` carries, instead of both tables.
 
 Usage::
 
@@ -128,6 +133,30 @@ def table(summary: Sequence[dict]) -> List[str]:
     return lines
 
 
+def trace_table(runs: Sequence[dict], per_layer: Sequence[dict]) -> List[str]:
+    """The ``--trace 1`` runs' per-layer metrics, parent beside change;
+    ``-`` marks a side with no traced run."""
+    traced: Dict[Tuple[str, int], Dict[str, dict]] = defaultdict(dict)
+    for run in runs:
+        if run["trace"] == 1:
+            traced[(run["workload"], run["seed"])][run["side"]] = \
+                run["result"]["metrics"]
+    lines = []
+    for (workload, seed), by_side in sorted(traced.items()):
+        lines.append(f"{workload} seed {seed} traced (--trace 1)")
+        lines.append(f"  {'per-layer metric':<32} {'parent':>12}  "
+                     f"{'change':>12}")
+        for m in per_layer:
+            values = [by_side[side][m["name"]]["value"]
+                      if side in by_side else None for side in SIDES]
+            if not any(values):
+                continue
+            cells = ["-" if v is None else f"{v:.0f}" if v == int(v)
+                     else f"{v:.6g}" for v in values]
+            lines.append(f"  {m['name']:<32} {cells[0]:>12}  {cells[1]:>12}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench", help="a BENCH_*.json file")
@@ -137,7 +166,8 @@ def main(argv=None) -> int:
     with open(args.bench) as fh:
         bench = json.load(fh)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+        declared = json.load(fh)
+    metrics = declared["end_to_end"]
     try:
         summary = summarise(bench, metrics)
     except CompareError as exc:
@@ -146,7 +176,8 @@ def main(argv=None) -> int:
     if args.summary:
         print(json.dumps(summary, indent=2))
     else:
-        print("\n".join(table(summary)))
+        print("\n".join(table(summary)
+                        + trace_table(bench["runs"], declared["per_layer"])))
     worse = regressions(summary, metrics)
     for line in worse:
         print(f"WORSE BEYOND BOUND: {line}")

@@ -116,6 +116,10 @@ def admm_sparsify_polarize(
     for p in model.parameters():
         p.requires_grad = False
 
+    # One set of operators for the whole run: degrees, norms and the
+    # edge list's CSR order do not depend on the weights, so each step
+    # only swaps in its expanded weight tensor.
+    ops = GraphOps(adj, kernel_backend=config.kernel_backend)
     pola_before = polarization_loss(adj)
     history = []
     # admm_inner_steps == 0 is a legal (projection-only) configuration: the
@@ -125,12 +129,8 @@ def admm_sparsify_polarize(
     for _ in range(config.admm_iterations):
         for _ in range(config.admm_inner_steps):
             opt.zero_grad()
-            ops = GraphOps(
-                adj,
-                edge_weights=_expand(
-                    w_pairs, pair_id, backend=config.kernel_backend
-                ),
-                kernel_backend=config.kernel_backend,
+            ops.edge_weights = _expand(
+                w_pairs, pair_id, backend=config.kernel_backend
             )
             logits = model(x, ops)
             task_loss = F.cross_entropy(logits, graph.labels, graph.train_mask)

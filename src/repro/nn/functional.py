@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.nn.tensor import Tensor, _make
-from repro.sparse.kernels import BackendLike, get_backend
+from repro.sparse.kernels import BackendLike, CSROrder, get_backend
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -126,8 +126,21 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Cross-entropy on raw logits (log-softmax + masked NLL)."""
-    return nll_loss(log_softmax(logits), labels, mask)
+    """Cross-entropy on raw logits (log-softmax + masked NLL).
+
+    The labeled rows are taken out before the log-softmax, so unlabeled
+    rows cost nothing and get exact zero gradients. Every op here works
+    row by row, so the loss and the labeled rows' gradients equal those
+    of the same loss taken over all rows, bit for bit.
+    """
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if idx.size == 0:
+        raise ValueError("cross_entropy received an empty mask")
+    labels = np.asarray(labels, dtype=np.int64)[idx]
+    return nll_loss(
+        log_softmax(take_rows(logits, idx)), labels,
+        np.ones(idx.size, dtype=bool),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +219,21 @@ def gather_rows(
     return _make(data, (x,), backward)
 
 
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Select the distinct rows ``x[index]``; the backward writes each
+    row's gradient back into zeros (no accumulation, so ``index`` must not
+    repeat; :func:`gather_rows` sums repeats)."""
+    data = x.data[index]
+
+    def backward(grad):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[index] = grad
+            x.accumulate_grad(full)
+
+    return _make(data, (x,), backward)
+
+
 def scatter_add_rows(
     x: Tensor, index: np.ndarray, num_rows: int, backend: BackendLike = None
 ) -> Tensor:
@@ -228,19 +256,23 @@ def edge_spmm(
     x: Tensor,
     num_rows: int,
     backend: BackendLike = None,
+    order: Optional[CSROrder] = None,
 ) -> Tensor:
     """Aggregation with *trainable* edge weights: ``Y[r] += w_e * X[c]``.
 
     Both the edge-weight vector and the features receive gradients:
     ``dL/dw_e = dY[r_e] · X[c_e]`` and ``dL/dX[c] += w_e * dY[r_e]``.
     This single op is what makes Eq. (4)'s ``L_Graph(A)`` trainable and also
-    implements GAT's attention-weighted aggregation.
+    implements GAT's attention-weighted aggregation. ``order`` is the
+    :class:`~repro.sparse.kernels.CSROrder` of ``(rows, cols)``, which
+    ``GraphOps`` builds once per graph; the forward product uses it and
+    the backward product its transpose, so neither sorts the edges.
     """
     kernel = get_backend(backend)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     w = weights.data.reshape(-1)
-    data = kernel.coo_spmm(w, rows, cols, x.data, num_rows)
+    data = kernel.coo_spmm(w, rows, cols, x.data, num_rows, order=order)
 
     def backward(grad):
         if weights.requires_grad:
@@ -248,9 +280,10 @@ def edge_spmm(
             weights.accumulate_grad(gw.reshape(weights.data.shape))
         if x.requires_grad:
             # The transposed aggregation: dX[c] += w_e * dY[r_e].
-            x.accumulate_grad(
-                kernel.coo_spmm(w, cols, rows, grad, x.data.shape[0])
-            )
+            x.accumulate_grad(kernel.coo_spmm(
+                w, cols, rows, grad, x.data.shape[0],
+                order=None if order is None else order.T,
+            ))
 
     return _make(data, (weights, x), backward)
 

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from repro.nn import functional as F
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, reshape
-from repro.sparse.kernels import BackendLike, get_backend
+from repro.sparse.kernels import BackendLike, CSROrder, get_backend
 
 
 class GraphOps:
@@ -60,10 +60,6 @@ class GraphOps:
         self.cols = coo.col.astype(np.int64)
         self.base_data = coo.data.astype(np.float64)
         self.edge_weights = edge_weights
-        if edge_weights is not None and edge_weights.data.shape[0] != self.rows.shape[0]:
-            raise ValueError(
-                "edge_weights must have one entry per stored non-zero"
-            )
 
         # Fixed symmetric normalization computed on A + I (renormalization
         # trick); held constant during graph tuning, following SGCN [23].
@@ -79,6 +75,37 @@ class GraphOps:
         # Row-mean weights (GraphSAGE's mean aggregation over neighbours).
         counts = np.bincount(self.rows, minlength=self.num_nodes).astype(np.float64)
         self.mean_edge_norm = self.base_data / np.maximum(counts[self.rows], 1.0)
+
+    @property
+    def edge_weights(self) -> Optional[Tensor]:
+        """The trainable per-edge weights, or ``None`` for constant ops.
+
+        Assignable: graph tuning swaps in each step's weight tensor and
+        keeps every structure derived from the edge list (norms, CSR
+        orders, constant matrices), since none depends on the weights.
+        """
+        return self._edge_weights
+
+    @edge_weights.setter
+    def edge_weights(self, value: Optional[Tensor]) -> None:
+        if value is not None and value.data.shape[0] != self.rows.shape[0]:
+            raise ValueError(
+                "edge_weights must have one entry per stored non-zero"
+            )
+        self._edge_weights = value
+
+    @cached_property
+    def _edge_order(self) -> Optional[CSROrder]:
+        """The edge list's CSR order for every ``edge_spmm`` of this graph
+        (``None`` if the edge list repeats an entry)."""
+        n = self.num_nodes
+        return CSROrder.from_edges(self.rows, self.cols, (n, n))
+
+    def _edge_spmm(self, weights: Tensor, x: Tensor) -> Tensor:
+        return F.edge_spmm(
+            weights, self.rows, self.cols, x, self.num_nodes,
+            backend=self.kernel, order=self._edge_order,
+        )
 
     def _fixed(self, edge_norm: np.ndarray, loops=None):
         """A constant aggregation matrix and its transpose, both CSR."""
@@ -117,10 +144,7 @@ class GraphOps:
             mat, mat_t = self._sym
             return F.spmm(mat, x, backend=self.kernel, adj_t=mat_t)
         weights = self.edge_weights * Tensor(self.sym_edge_norm)
-        neigh = F.edge_spmm(
-            weights, self.rows, self.cols, x, self.num_nodes,
-            backend=self.kernel,
-        )
+        neigh = self._edge_spmm(weights, x)
         return neigh + x * Tensor(self.sym_loop_norm[:, None])
 
     def agg_sum(self, x: Tensor) -> Tensor:
@@ -129,10 +153,7 @@ class GraphOps:
             mat, mat_t = self._sum
             return F.spmm(mat, x, backend=self.kernel, adj_t=mat_t)
         weights = self.edge_weights * Tensor(self.base_data)
-        return F.edge_spmm(
-            weights, self.rows, self.cols, x, self.num_nodes,
-            backend=self.kernel,
-        )
+        return self._edge_spmm(weights, x)
 
     def agg_mean(self, x: Tensor) -> Tensor:
         """Neighbour-mean aggregation (GraphSAGE, Tab. IV)."""
@@ -140,10 +161,7 @@ class GraphOps:
             mat, mat_t = self._mean
             return F.spmm(mat, x, backend=self.kernel, adj_t=mat_t)
         weights = self.edge_weights * Tensor(self.mean_edge_norm)
-        return F.edge_spmm(
-            weights, self.rows, self.cols, x, self.num_nodes,
-            backend=self.kernel,
-        )
+        return self._edge_spmm(weights, x)
 
     def agg_max(self, x: Tensor) -> Tensor:
         """Neighbour-max aggregation (ResGCN's Max, Tab. IV)."""
@@ -165,10 +183,7 @@ class GraphOps:
         )
         if self.edge_weights is not None:
             alpha = alpha * self.edge_weights
-        return F.edge_spmm(
-            alpha, self.rows, self.cols, x, self.num_nodes,
-            backend=self.kernel,
-        )
+        return self._edge_spmm(alpha, x)
 
 
 class GNNModel(Module):

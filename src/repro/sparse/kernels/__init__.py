@@ -125,8 +125,14 @@ class KernelBackend:
         cols: np.ndarray,
         x: np.ndarray,
         num_rows: int,
+        order=None,
     ) -> np.ndarray:
-        """Edge-weighted aggregation ``out[rows[e]] += weights[e] * x[cols[e]]``."""
+        """Edge-weighted aggregation ``out[rows[e]] += weights[e] * x[cols[e]]``.
+
+        ``order`` is the edge list's :class:`CSROrder` or ``None``; a
+        backend that assembles a CSR matrix may reuse it instead of
+        sorting the edges on every call, and any other may ignore it.
+        """
         raise NotImplementedError
 
 
@@ -188,7 +194,10 @@ def set_default_backend(backend: Union[str, KernelBackend]) -> str:
 # Populate the registry (imports at the bottom to avoid cycles: the backend
 # modules import the helpers defined above).
 from repro.sparse.kernels.reference import ReferenceBackend  # noqa: E402
-from repro.sparse.kernels.vectorized import VectorizedBackend  # noqa: E402
+from repro.sparse.kernels.vectorized import (  # noqa: E402
+    CSROrder,
+    VectorizedBackend,
+)
 from repro.sparse.kernels.tiled import (  # noqa: E402
     TiledBackend,
     TileProfile,
@@ -203,6 +212,7 @@ register_backend(TiledBackend())
 
 __all__ = [
     "BackendLike",
+    "CSROrder",
     "KernelBackend",
     "ReferenceBackend",
     "TileProfile",

@@ -75,7 +75,9 @@ class ReferenceBackend(KernelBackend):
         cols: np.ndarray,
         x: np.ndarray,
         num_rows: int,
+        order=None,
     ) -> np.ndarray:
+        # The scatter needs no CSR order; ``order`` is accepted and unused.
         out = np.zeros((num_rows, x.shape[1]), dtype=np.float64)
         np.add.at(out, rows, weights[:, None] * x[cols])
         return out

@@ -10,9 +10,11 @@ selection-matrix product (2-D), both of which run in compiled code:
 * ``segment_sum`` over ``(E, F)`` values multiplies by an ``(N, E)``
   one-hot selection matrix built directly in CSC form — no sorting, no
   transposes, duplicate indices accumulate exactly like ``np.add.at``;
-* ``coo_spmm`` (edge-weighted aggregation, the graph-tuning hot op)
-  assembles the weighted adjacency once per call and runs one compiled
-  SpMM instead of an ``np.add.at`` scatter per edge;
+* ``coo_spmm`` (edge-weighted aggregation, the graph-tuning and GAT hot
+  op) runs one compiled SpMM instead of an ``np.add.at`` scatter per edge.
+  Given the edge list's :class:`CSROrder` (``GraphOps`` builds one per
+  graph) it only gathers the weights into that prebuilt CSR order;
+  without one it converts the COO triplets to CSR on every call;
 * ``spmm_batch`` chains a whole multi-graph workload into one
   block-diagonal product, so one kernel launch covers every graph.
 
@@ -23,7 +25,8 @@ parity suite in ``tests/sparse/test_kernels.py`` holds both to 1e-12.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +49,62 @@ def _as_scipy_csc(a) -> sp.csc_matrix:
     return sp.csc_matrix(
         (a.data, a.indices, a.indptr), shape=a.shape, copy=False
     )
+
+
+class CSROrder:
+    """The CSR order of one fixed edge list, computed once.
+
+    ``indptr`` and ``indices`` are the arrays
+    ``coo_matrix((w, (rows, cols)), shape).tocsr()`` produces (edges
+    bucketed by row, columns sorted within each row), and ``perm`` takes
+    a weight vector from edge order to that order. :meth:`matrix` is
+    therefore the same conversion without the sort, bit for bit. Build it
+    with :meth:`from_edges`; :attr:`T` is the order of the transposed edge
+    list ``(cols, rows)``, built on first use.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray,
+                 shape: Tuple[int, int], perm: np.ndarray):
+        self.rows, self.cols, self.shape, self.perm = rows, cols, shape, perm
+        # One validated construction picks scipy's index dtype, so every
+        # later matrix() reuses arrays the constructor accepts as they are.
+        template = sp.csr_matrix(
+            (
+                np.zeros(perm.size),
+                cols[perm],
+                np.concatenate(([0], np.cumsum(
+                    np.bincount(rows, minlength=shape[0])))),
+            ),
+            shape=shape,
+        )
+        self.indices, self.indptr = template.indices, template.indptr
+
+    @classmethod
+    def from_edges(cls, rows: np.ndarray, cols: np.ndarray,
+                   shape: Tuple[int, int]) -> Optional["CSROrder"]:
+        """The order of ``(rows, cols)``, or ``None`` when some
+        ``(row, col)`` pair repeats: ``tocsr`` sums duplicates in an
+        order of its own, so such a list keeps the per-call conversion."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        perm = np.lexsort((cols, rows))
+        r, c = rows[perm], cols[perm]
+        if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
+            return None
+        return cls(rows, cols, shape, perm)
+
+    @cached_property
+    def T(self) -> "CSROrder":
+        """The order of the transposed edge list ``(cols, rows)``."""
+        return CSROrder(self.cols, self.rows, self.shape[::-1],
+                        np.lexsort((self.rows, self.cols)))
+
+    def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
+        """The weighted adjacency, ``weights`` given in edge order."""
+        return sp.csr_matrix(
+            (weights[self.perm], self.indices, self.indptr),
+            shape=self.shape, copy=False,
+        )
 
 
 class VectorizedBackend(KernelBackend):
@@ -188,11 +247,20 @@ class VectorizedBackend(KernelBackend):
         cols: np.ndarray,
         x: np.ndarray,
         num_rows: int,
+        order: Optional[CSROrder] = None,
     ) -> np.ndarray:
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.size == 0:
             return np.zeros((num_rows, x.shape[1]), dtype=np.float64)
-        adj = sp.coo_matrix(
-            (weights, (rows, cols)), shape=(num_rows, x.shape[0])
-        ).tocsr()
+        shape = (num_rows, x.shape[0])
+        if order is None:
+            adj = sp.coo_matrix((weights, (rows, cols)), shape=shape).tocsr()
+        elif order.shape != shape or order.perm.size != weights.size:
+            raise ShapeError(
+                f"edge order of shape {order.shape} with {order.perm.size} "
+                f"edges does not fit {weights.size} weights of a {shape} "
+                "aggregation"
+            )
+        else:
+            adj = order.matrix(weights)
         return np.asarray(adj @ x)

@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.algorithm import GCoDConfig, admm_sparsify_polarize, polarization_loss
+from repro.algorithm import admm
 from repro.algorithm.admm import _project_topk, _undirected_pairs
 from repro.nn.models import build_model
+from repro.nn.models.base import GraphOps
 from repro.nn.training import train_model
 
 
@@ -103,6 +105,51 @@ def test_admm_zero_inner_steps_projection_only(tiny_graph):
         assert np.isnan(entry["task_loss"]) and np.isnan(entry["pola"])
         assert np.isfinite(entry["residual"])
     assert result.pruned_adj.nnz > 0
+
+
+class _PerStepOps:
+    """ADMM's operators as they were built before one set served a run:
+    a fresh ``GraphOps`` for every step's weights, with no cached edge
+    order (each ``edge_spmm`` converts its COO triplets again)."""
+
+    class _Unordered(GraphOps):
+        _edge_order = None
+
+    def __init__(self, adj, kernel_backend=None):
+        self._adj, self._backend = adj, kernel_backend
+        self._ops = None
+
+    @property
+    def edge_weights(self):
+        return self._ops.edge_weights
+
+    @edge_weights.setter
+    def edge_weights(self, value):
+        self._ops = self._Unordered(
+            self._adj, edge_weights=value, kernel_backend=self._backend)
+
+    def __getattr__(self, name):
+        return getattr(self._ops, name)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "gat"])
+def test_admm_with_one_graphops_equals_a_per_step_rebuild(
+        tiny_graph, monkeypatch, arch):
+    config = GCoDConfig(
+        prune_ratio=0.3, admm_iterations=2, admm_inner_steps=3, seed=0,
+        pola_weight=2.0,
+    )
+    reused = admm_sparsify_polarize(
+        tiny_graph, build_model(arch, tiny_graph, rng=0), config)
+    monkeypatch.setattr(admm, "GraphOps", _PerStepOps)
+    rebuilt = admm_sparsify_polarize(
+        tiny_graph, build_model(arch, tiny_graph, rng=0), config)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(reused.pruned_adj, attr),
+                              getattr(rebuilt.pruned_adj, attr))
+    assert reused.history == rebuilt.history
+    assert reused.kept_edge_fraction == rebuilt.kept_edge_fraction
+    assert reused.polarization_after == rebuilt.polarization_after
 
 
 def test_config_rejects_negative_admm_counts():

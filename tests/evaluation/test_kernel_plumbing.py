@@ -47,9 +47,9 @@ class CountingBackend(VectorizedBackend):
         self.calls += 1
         return super().segment_max(values, segments, num_segments)
 
-    def coo_spmm(self, weights, rows, cols, x, num_rows):
+    def coo_spmm(self, weights, rows, cols, x, num_rows, order=None):
         self.calls += 1
-        return super().coo_spmm(weights, rows, cols, x, num_rows)
+        return super().coo_spmm(weights, rows, cols, x, num_rows, order=order)
 
 
 @pytest.fixture()

@@ -49,6 +49,32 @@ def test_nll_loss_empty_mask_raises():
                    np.zeros(2, dtype=bool))
 
 
+@pytest.mark.parametrize("rows, classes", [(30, 7), (2100, 210)])
+def test_cross_entropy_over_labeled_rows_is_bit_identical(rows, classes):
+    # Taking the labeled rows first must not move a bit of the loss or of
+    # the logits gradient against log-softmax and NLL over every row.
+    rng = np.random.default_rng(rows)
+    data = rng.normal(size=(rows, classes)) * 3.0
+    labels = rng.integers(0, classes, rows)
+    mask = rng.random(rows) < 0.47
+    taken = Tensor(data.copy(), requires_grad=True)
+    loss = F.cross_entropy(taken, labels, mask)
+    loss.backward()
+    full = Tensor(data.copy(), requires_grad=True)
+    expected = F.nll_loss(F.log_softmax(full), labels, mask)
+    expected.backward()
+    assert np.array_equal(loss.data, expected.data)
+    assert np.array_equal(taken.grad, full.grad)
+    assert taken.grad.shape == data.shape
+    assert np.all(taken.grad[~mask] == 0.0)
+
+
+def test_cross_entropy_empty_mask_raises():
+    with pytest.raises(ValueError, match="empty mask"):
+        F.cross_entropy(Tensor(np.zeros((2, 2))), np.zeros(2, dtype=int),
+                        np.zeros(2, dtype=bool))
+
+
 def test_dropout_eval_is_identity(rng):
     x = Tensor(rng.normal(size=(5, 5)))
     out = F.dropout(x, 0.5, training=False, rng=rng)

@@ -41,6 +41,35 @@ def test_summary_flag_prints_the_checked_in_block(capsys):
         json.loads(path.read_text())["summary"]
 
 
+def test_traced_runs_print_per_layer_metrics_side_by_side(capsys):
+    assert bench_compare.main([str(ROOT / "BENCH_24.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = out.index("dse-grid seed 1 traced (--trace 1)")
+    rows = {}
+    for line in out[start + 2:]:
+        if not line.startswith("  "):
+            break
+        rows[line.split()[0]] = line.split()[1:]
+    assert rows["store.put_s"] == ["0.198428", "0.178118"]
+    assert rows["store.puts"] == ["434", "434"]
+    # Metrics that read zero on both sides (nothing trains here) are left out.
+    assert "nn.train_s" not in rows
+    assert "report-cold seed 1 traced (--trace 1)" in out
+    assert "serve-mixed seed 1 traced (--trace 1)" in out
+
+
+def test_traced_run_missing_on_one_side_prints_a_dash(capsys):
+    bench = json.loads((ROOT / "BENCH_24.json").read_text())
+    runs = [r for r in bench["runs"]
+            if r["trace"] == 1 and r["workload"] == "dse-grid"]
+    lines = bench_compare.trace_table(
+        [r for r in runs if r["side"] == "change"],
+        [{"name": "store.put_s"}, {"name": "nn.train_s"}])
+    assert lines[0] == "dse-grid seed 1 traced (--trace 1)"
+    assert lines[2].split() == ["store.put_s", "-", "0.178118"]
+    assert len(lines) == 3
+
+
 def _bench(parent_cold, change_cold):
     """A one-group file: paired dse-grid runs differing only in cold_s."""
     base = json.loads((ROOT / "BENCH_23.json").read_text())
