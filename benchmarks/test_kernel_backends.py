@@ -14,7 +14,7 @@ from conftest import show
 
 from repro.evaluation.context import ExperimentResult
 from repro.graphs.normalize import symmetric_normalize
-from repro.sparse import from_scipy, spmm
+from repro.sparse import get_backend
 
 MIN_SPEEDUP = 5.0
 
@@ -40,14 +40,16 @@ def test_fast_spmm_backends_speedup_on_fig10_workload(ctx):
     for dataset, fmt in (("nell", "csr"), ("reddit", "csr"),
                          ("nell", "csc"), ("reddit", "csc")):
         graph = ctx.graph(dataset)
-        a_hat = from_scipy(symmetric_normalize(graph.adj), fmt)
+        a_hat = symmetric_normalize(graph.adj).asformat(fmt)
         b = rng.normal(size=(graph.num_nodes, HIDDEN_WIDTH))
-        ref_out = spmm(a_hat, b, backend="reference")
-        t_ref = _best_of(lambda: spmm(a_hat, b, backend="reference"), 3)
+        ref = get_backend("reference")
+        ref_out = ref.spmm(a_hat, b)
+        t_ref = _best_of(lambda: ref.spmm(a_hat, b), 3)
         for backend in ("vectorized", "tiled"):
-            out = spmm(a_hat, b, backend=backend)
+            fast = get_backend(backend)
+            out = fast.spmm(a_hat, b)
             np.testing.assert_allclose(out, ref_out, atol=1e-10)
-            t_fast = _best_of(lambda: spmm(a_hat, b, backend=backend), 10)
+            t_fast = _best_of(lambda: fast.spmm(a_hat, b), 10)
             speedup = t_ref / max(t_fast, 1e-9)
             rows.append(
                 (dataset, fmt, backend, graph.adj.nnz,

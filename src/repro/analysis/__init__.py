@@ -15,9 +15,9 @@ Layout:
   :class:`~repro.analysis.core.Rule` plugin interface,
   :class:`~repro.analysis.core.Finding`, per-line
   ``# repro: lint-ok[rule-id]`` suppressions;
-* :mod:`repro.analysis.rules` — the six shipped passes (determinism,
+* :mod:`repro.analysis.rules` — the seven shipped passes (determinism,
   key-coverage, schema-drift, store-write, except-swallow,
-  registry-sync);
+  registry-sync, orphan);
 * :mod:`repro.analysis.baseline` — grandfathered-finding bookkeeping;
 * :mod:`repro.analysis.lint` — the ``repro lint`` entry point: rule
   selection, text/JSON output, exit codes (0 clean / 1 new findings /

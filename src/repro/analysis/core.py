@@ -316,16 +316,6 @@ def dataclass_fields(class_node: ast.ClassDef) -> List[Tuple[str, str, str]]:
     return fields
 
 
-def is_dataclass_def(class_node: ast.ClassDef) -> bool:
-    """True when the class carries a ``@dataclass`` style decorator."""
-    for dec in class_node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(target)
-        if name.split(".")[-1] == "dataclass":
-            return True
-    return False
-
-
 def find_class(src: SourceFile, name: str) -> Optional[ast.ClassDef]:
     """The top-level class ``name`` in ``src``, or ``None``."""
     for node in src.tree.body:

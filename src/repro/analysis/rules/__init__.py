@@ -14,6 +14,7 @@ from repro.analysis.core import Rule
 from repro.analysis.rules.cache_keys import KeyCoverageRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exception_hygiene import ExceptionHygieneRule
+from repro.analysis.rules.orphan import OrphanRule
 from repro.analysis.rules.registry_sync import RegistrySyncRule
 from repro.analysis.rules.schema_drift import SchemaDriftRule
 from repro.analysis.rules.store_writes import StoreWriteRule
@@ -30,6 +31,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     StoreWriteRule(),
     ExceptionHygieneRule(),
     RegistrySyncRule(),
+    OrphanRule(),
 )
 
 #: Selection ids -> the rule instance that produces them.
@@ -83,6 +85,7 @@ __all__ = [
     "DeterminismRule",
     "ExceptionHygieneRule",
     "KeyCoverageRule",
+    "OrphanRule",
     "RegistrySyncRule",
     "SchemaDriftRule",
     "StoreWriteRule",

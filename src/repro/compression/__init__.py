@@ -12,11 +12,7 @@ Plus :mod:`repro.compression.quantize`, the shared int-k fake-quantization
 machinery also used by the GCoD (8-bit) accelerator variant.
 """
 
-from repro.compression.quantize import (
-    QuantSpec,
-    quantize_dequantize,
-    quantize_ste,
-)
+from repro.compression.quantize import QuantSpec, quantize_dequantize
 from repro.compression.random_pruning import random_prune_edges, train_random_pruned
 from repro.compression.sgcn import sgcn_sparsify, train_sgcn
 from repro.compression.qat import train_qat
@@ -25,7 +21,6 @@ from repro.compression.degree_quant import train_degree_quant
 __all__ = [
     "QuantSpec",
     "quantize_dequantize",
-    "quantize_ste",
     "random_prune_edges",
     "train_random_pruned",
     "sgcn_sparsify",

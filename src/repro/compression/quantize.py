@@ -1,4 +1,4 @@
-"""Uniform fake quantization with a straight-through estimator (STE).
+"""Uniform fake quantization: a symmetric int-k round-trip.
 
 Shared by the QAT / Degree-Quant baselines and by the GCoD (8-bit)
 accelerator variant, whose 4x bandwidth saving (Tab. V footnote) comes from
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, _make
 
 
 @dataclass(frozen=True)
@@ -37,21 +36,3 @@ def quantize_dequantize(values: np.ndarray, bits: int = 8) -> np.ndarray:
     scale = spec.scale_for(values)
     q = np.clip(np.round(values / scale), -spec.levels, spec.levels)
     return q * scale
-
-
-def quantize_ste(x: Tensor, bits: int = 8, row_mask: np.ndarray = None) -> Tensor:
-    """Fake-quantize ``x`` in the forward pass; identity gradient backward.
-
-    ``row_mask`` (optional, boolean per row) exempts rows from quantization
-    — Degree-Quant's protection of high-in-degree nodes.
-    """
-    data = quantize_dequantize(x.data, bits)
-    if row_mask is not None:
-        mask = np.asarray(row_mask, dtype=bool)
-        data = np.where(mask[:, None], x.data, data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate_grad(grad)
-
-    return _make(data, (x,), backward)

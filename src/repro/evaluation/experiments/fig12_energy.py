@@ -98,7 +98,7 @@ def energy_sweep_spec(
     )
 
 
-def rows_from_sweep(results) -> list:
+def rows_from_sweep(results) -> list:  # repro: lint-ok[orphan] sweep render
     """Fig. 12's rows rebuilt from sweep-engine point metrics.
 
     ``results`` is ``SweepRunReport.results`` from a sweep over

@@ -24,7 +24,7 @@ from repro.graphs.datasets import (
 )
 from repro.graphs.normalize import symmetric_normalize, add_self_loops, row_normalize
 from repro.graphs.stats import GraphStats, compute_stats
-from repro.graphs.reorder import permute_graph, identity_permutation, rcm_permutation
+from repro.graphs.reorder import permute_graph, rcm_permutation
 
 __all__ = [
     "Graph",
@@ -44,6 +44,5 @@ __all__ = [
     "GraphStats",
     "compute_stats",
     "permute_graph",
-    "identity_permutation",
     "rcm_permutation",
 ]

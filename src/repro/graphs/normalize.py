@@ -28,7 +28,9 @@ def symmetric_normalize(adj: sp.spmatrix, self_loops: bool = True) -> sp.csr_mat
     return sp.csr_matrix(d_inv @ a @ d_inv)
 
 
-def row_normalize(adj: sp.spmatrix, self_loops: bool = True) -> sp.csr_matrix:
+def row_normalize(  # repro: lint-ok[orphan] oracle of agg_mean's tests
+    adj: sp.spmatrix, self_loops: bool = True
+) -> sp.csr_matrix:
     """Compute ``D^{-1} (A [+ I])`` — mean aggregation (GraphSAGE-style)."""
     a = add_self_loops(adj) if self_loops else sp.csr_matrix(adj)
     degrees = np.asarray(a.sum(axis=1)).ravel()

@@ -16,11 +16,6 @@ from repro.errors import PartitionError
 from repro.graphs.graph import Graph
 
 
-def identity_permutation(n: int) -> np.ndarray:
-    """The do-nothing ordering."""
-    return np.arange(n, dtype=np.int64)
-
-
 def check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
     """Validate that ``perm`` is a permutation of ``range(n)``."""
     perm = np.asarray(perm, dtype=np.int64)

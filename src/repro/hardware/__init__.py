@@ -45,7 +45,6 @@ from repro.hardware.event_sim import (
     tiles_from_profile,
     tiles_from_workload,
 )
-from repro.hardware.sampling import LFSR, SamplingUnit
 from repro.hardware.accelerators import (
     Accelerator,
     AcceleratorReport,
@@ -103,8 +102,6 @@ __all__ = [
     "simulate_aggregation",
     "tiles_from_profile",
     "tiles_from_workload",
-    "LFSR",
-    "SamplingUnit",
     "Accelerator",
     "AcceleratorReport",
     "AWBGCN",

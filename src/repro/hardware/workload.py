@@ -21,7 +21,7 @@ laptop-size training runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +29,28 @@ import scipy.sparse as sp
 from repro.errors import invalid_value_error
 from repro.graphs.graph import Graph
 from repro.partition.layout import BlockLayout
-from repro.sparse import from_scipy
+
+#: 32-bit indices, matching the accelerator's index buffers.
+INDEX_BYTES = 4
+#: 32-bit fixed-point values (Tab. V: GCoD uses 32-bit PEs).
+VALUE_BYTES = 4
+
+
+def storage_bytes(fmt: str, shape: Tuple[int, int], nnz: int) -> int:
+    """Bytes to store an ``nnz``-entry matrix of ``shape`` in ``fmt``.
+
+    COO keeps two indices and a value per entry. CSR (CSC) keeps one
+    pointer per row (column) plus one, then an index and a value per
+    entry, which is why the sparser branch reads CSC "because of its
+    smaller storage footprint" (Sec. V-B). Stored duplicates and explicit
+    zeros count as entries, as scipy's ``nnz`` counts them.
+    """
+    if fmt == "coo":
+        return nnz * (2 * INDEX_BYTES + VALUE_BYTES)
+    if fmt in ("csr", "csc"):
+        pointers = shape[0] if fmt == "csr" else shape[1]
+        return (pointers + 1) * INDEX_BYTES + nnz * (INDEX_BYTES + VALUE_BYTES)
+    raise invalid_value_error("fmt", fmt, "one of 'coo', 'csr', 'csc'")
 
 
 @dataclass(frozen=True)
@@ -197,8 +218,8 @@ def adjacency_profile(
         # on the hot extraction path.
         csc = adj.tocsc()
         empty_cols = int((np.diff(csc.indptr) == 0).sum())
-        coo_bytes = from_scipy(adj, "coo").storage_bytes()
-        csc_bytes = from_scipy(adj, "csc").storage_bytes()
+        coo_bytes = storage_bytes("coo", adj.shape, nnz)
+        csc_bytes = storage_bytes("csc", adj.shape, nnz)
         return AdjacencyProfile(
             num_nodes=n,
             nnz=nnz,
@@ -227,8 +248,8 @@ def adjacency_profile(
         num_subgraphs=layout.num_subgraphs,
         max_subgraph_nodes=int(max_sub),
         skipped_col_fraction=sparse_empty / max(n, 1),
-        coo_bytes=from_scipy(dense, "coo").storage_bytes(),
-        csc_bytes=from_scipy(sparse, "csc").storage_bytes(),
+        coo_bytes=storage_bytes("coo", dense.shape, int(dense.nnz)),
+        csc_bytes=storage_bytes("csc", sparse.shape, int(sparse.nnz)),
         num_classes=layout.num_classes,
     )
 

@@ -4,6 +4,10 @@ Everything is stored in a single ``.npz`` per object (numpy's portable
 container) so trained graphs and layouts can be produced once and reused
 across experiment runs, mirroring how the authors' released artifacts would
 be consumed.
+
+Nothing in the program calls this module yet. It is the candidate
+pickle-free codec for the artifact store, which either adopts it or
+deletes it; until then its functions carry an ``orphan`` lint-ok.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from repro.partition.layout import BlockLayout, SubgraphSpan
 PathLike = Union[str, Path]
 
 
-def save_graph(graph: Graph, path: PathLike) -> None:
+def save_graph(  # repro: lint-ok[orphan] store codec candidate
+    graph: Graph, path: PathLike
+) -> None:
     """Serialize a :class:`Graph` (adjacency, features, labels, masks, meta).
 
     The features are written as their CSR members (``features_data``,
@@ -52,7 +58,9 @@ def save_graph(graph: Graph, path: PathLike) -> None:
     )
 
 
-def load_graph(path: PathLike) -> Graph:
+def load_graph(  # repro: lint-ok[orphan] store codec candidate
+    path: PathLike
+) -> Graph:
     """Load a graph saved by :func:`save_graph`.
 
     A file with a dense ``features`` member (the layout written before
@@ -90,7 +98,9 @@ def _load_features(data) -> Union[np.ndarray, sp.csr_matrix]:
     )
 
 
-def save_layout(layout: BlockLayout, path: PathLike) -> None:
+def save_layout(  # repro: lint-ok[orphan] store codec candidate
+    layout: BlockLayout, path: PathLike
+) -> None:
     """Serialize a :class:`BlockLayout`."""
     spans = np.array(
         [
@@ -111,7 +121,9 @@ def save_layout(layout: BlockLayout, path: PathLike) -> None:
     )
 
 
-def load_layout(path: PathLike) -> BlockLayout:
+def load_layout(  # repro: lint-ok[orphan] store codec candidate
+    path: PathLike
+) -> BlockLayout:
     """Load a layout saved by :func:`save_layout`."""
     with np.load(path, allow_pickle=False) as data:
         spans = [
@@ -135,12 +147,16 @@ def load_layout(path: PathLike) -> BlockLayout:
         )
 
 
-def save_model_weights(named_weights: dict, path: PathLike) -> None:
+def save_model_weights(  # repro: lint-ok[orphan] store codec candidate
+    named_weights: dict, path: PathLike
+) -> None:
     """Serialize a model ``state_dict`` (dotted names -> arrays)."""
     np.savez_compressed(path, **named_weights)
 
 
-def load_model_weights(path: PathLike) -> dict:
+def load_model_weights(  # repro: lint-ok[orphan] store codec candidate
+    path: PathLike
+) -> dict:
     """Load weights saved by :func:`save_model_weights`."""
     with np.load(path, allow_pickle=False) as data:
         return {k: data[k].copy() for k in data.files}

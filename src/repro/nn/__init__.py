@@ -8,7 +8,7 @@ reverse-mode autograd engine (:mod:`repro.nn.tensor`), graph-specific ops
 
 from repro.nn.tensor import Tensor
 from repro.nn.layers import Linear, Module
-from repro.nn.optim import Adam, SGD
+from repro.nn.optim import Adam
 from repro.nn.training import TrainResult, accuracy, train_model
 from repro.nn.models import (
     GCN,
@@ -27,7 +27,6 @@ __all__ = [
     "Linear",
     "Module",
     "Adam",
-    "SGD",
     "TrainResult",
     "accuracy",
     "train_model",

@@ -1,9 +1,9 @@
 """Neural-network ops: activations, losses, sparse and segment operations.
 
-The segment ops (``gather_rows`` / ``scatter_add_rows`` / ``segment_softmax``
-/ ``segment_max``) are the building blocks for GAT attention, GraphSAGE /
-GIN / ResGCN aggregations, and — crucially — for GCoD's graph tuning, where
-``edge_spmm`` makes the adjacency's per-edge weights themselves trainable.
+The segment ops (``gather_rows`` / ``segment_softmax`` / ``segment_max``)
+are the building blocks for GAT attention and ResGCN's max aggregation,
+and ``edge_spmm`` makes the adjacency's per-edge weights themselves
+trainable for GCoD's graph tuning.
 """
 
 from __future__ import annotations
@@ -234,21 +234,6 @@ def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def scatter_add_rows(
-    x: Tensor, index: np.ndarray, num_rows: int, backend: BackendLike = None
-) -> Tensor:
-    """Accumulate row ``e`` of ``x`` into output row ``index[e]``."""
-    kernel = get_backend(backend)
-    index = np.asarray(index, dtype=np.int64)
-    data = kernel.segment_sum(x.data, index, num_rows)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate_grad(grad[index])
-
-    return _make(data, (x,), backward)
-
-
 def edge_spmm(
     weights: Tensor,
     rows: np.ndarray,
@@ -355,23 +340,3 @@ def segment_max(
         x.accumulate_grad(g / denom)
 
     return _make(data, (x,), backward)
-
-
-def segment_mean(
-    x: Tensor,
-    segments: np.ndarray,
-    num_segments: int,
-    backend: BackendLike = None,
-) -> Tensor:
-    """Per-segment mean (GraphSAGE's mean aggregation over sampled neighbors)."""
-    segments = np.asarray(segments, dtype=np.int64)
-    counts = np.bincount(segments, minlength=num_segments).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
-    summed = scatter_add_rows(x, segments, num_segments, backend=backend)
-    return _make(
-        summed.data / counts[:, None],
-        (summed,),
-        lambda grad: summed.accumulate_grad(grad / counts[:, None])
-        if summed.requires_grad
-        else None,
-    )

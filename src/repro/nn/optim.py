@@ -27,25 +27,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional weight decay."""
-
-    def __init__(self, params, lr: float = 0.01, weight_decay: float = 0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self) -> None:
-        """Take one SGD step using accumulated gradients."""
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            p.data = p.data - self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba), the paper's optimizer (Sec. VI-A)."""
 

@@ -157,7 +157,9 @@ def _refine(
     return parts
 
 
-def edge_cut(adj: sp.spmatrix, parts: np.ndarray) -> int:
+def edge_cut(  # repro: lint-ok[orphan] oracle of the partitioner's tests
+    adj: sp.spmatrix, parts: np.ndarray
+) -> int:
     """Total weight of edges crossing partition boundaries (each counted once)."""
     coo = sp.coo_matrix(adj)
     crossing = parts[coo.row] != parts[coo.col]

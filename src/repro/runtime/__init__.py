@@ -44,7 +44,6 @@ from repro.runtime.store import (
     STORE_URL_ENV,
     ArtifactStore,
     default_cache_dir,
-    default_store,
 )
 from repro.runtime.registry import (
     ExperimentSpec,
@@ -69,7 +68,6 @@ __all__ = [
     "all_experiments",
     "counters",
     "default_cache_dir",
-    "default_store",
     "experiment_key",
     "experiment_names",
     "gcod_key",

@@ -392,17 +392,3 @@ def get_or_compute(
             store.put(key, artifact,
                       summary=summary(artifact) if summary else None)
     return artifact
-
-
-_DEFAULT_STORE: Optional[ArtifactStore] = None
-
-
-def default_store() -> ArtifactStore:
-    """A process-wide store rooted at :func:`default_cache_dir`."""
-    global _DEFAULT_STORE
-    locator = default_cache_dir()
-    if not locator.startswith(("http://", "https://")):
-        locator = os.path.abspath(locator)
-    if _DEFAULT_STORE is None or _DEFAULT_STORE.root != locator:
-        _DEFAULT_STORE = ArtifactStore()
-    return _DEFAULT_STORE

@@ -44,7 +44,7 @@ from repro.serve.service import (
     run_serve,
     start_in_thread,
 )
-from repro.serve.client import ServeClient, wait_for_server
+from repro.serve.client import ServeClient
 
 __all__ = [
     "InferenceService",
@@ -56,5 +56,4 @@ __all__ = [
     "parse_response",
     "run_serve",
     "start_in_thread",
-    "wait_for_server",
 ]

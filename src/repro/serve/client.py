@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import socket
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServeProtocolError
@@ -133,25 +132,3 @@ class ServeClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def wait_for_server(host: str, port: int, timeout: float = 30.0,
-                    interval: float = 0.05) -> None:
-    """Block until a ``repro serve`` endpoint accepts connections.
-
-    Raises :class:`TimeoutError` if the port never opens — used by the
-    bench harness after spawning the server subprocess.
-    """
-    deadline = time.monotonic() + timeout
-    last_error: Optional[Exception] = None
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=interval):
-                return
-        except OSError as exc:
-            last_error = exc
-            time.sleep(interval)
-    raise TimeoutError(
-        f"no server on {host}:{port} after {timeout:g}s "
-        f"(last error: {last_error})"
-    )

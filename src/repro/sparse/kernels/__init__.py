@@ -51,10 +51,9 @@ def check_spmm_shapes(a_shape: Tuple[int, ...], b: np.ndarray) -> None:
 class KernelBackend:
     """One implementation of the SpMM + segment-reduce kernel family.
 
-    Sparse operands are anything with ``shape`` / ``indptr`` / ``indices`` /
-    ``data`` attributes — both this package's :class:`~repro.sparse.csr.CSRMatrix`
-    / :class:`~repro.sparse.csc.CSCMatrix` containers and scipy's
-    ``csr_matrix`` / ``csc_matrix`` qualify, so callers never convert.
+    Sparse operands are scipy matrices: ``csr_matrix`` for the row-wise
+    product, ``csc_matrix`` for the column-wise one. :meth:`spmm`
+    dispatches on ``format`` and canonicalizes other scipy formats to CSR.
     """
 
     name: str = "abstract"
@@ -71,9 +70,9 @@ class KernelBackend:
     def spmm(self, a, b: np.ndarray) -> np.ndarray:
         """Dispatch on storage format: CSR -> row order, CSC -> column order."""
         fmt = getattr(a, "format", None)
-        if fmt == "csr" or _looks_like(a, "CSRMatrix"):
+        if fmt == "csr":
             return self.spmm_row_product(a, b)
-        if fmt == "csc" or _looks_like(a, "CSCMatrix"):
+        if fmt == "csc":
             return self.spmm_column_product(a, b)
         if fmt is not None:  # other scipy formats: canonicalize to CSR
             return self.spmm_row_product(a.tocsr(), b)
@@ -136,11 +135,6 @@ class KernelBackend:
         raise NotImplementedError
 
 
-def _looks_like(a, cls_name: str) -> bool:
-    # Avoid importing the containers here (they sit below this package).
-    return type(a).__name__ == cls_name
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -176,11 +170,6 @@ def get_backend(backend: BackendLike = None) -> KernelBackend:
         f"unknown kernel backend {backend!r}; "
         f"available: {', '.join(backend_choices())}"
     )
-
-
-def default_backend() -> KernelBackend:
-    """The backend used when callers do not name one."""
-    return get_backend(None)
 
 
 def set_default_backend(backend: Union[str, KernelBackend]) -> str:
@@ -223,7 +212,6 @@ __all__ = [
     "tiled_spmm",
     "backend_choices",
     "check_spmm_shapes",
-    "default_backend",
     "get_backend",
     "register_backend",
     "set_default_backend",

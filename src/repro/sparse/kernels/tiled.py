@@ -117,13 +117,9 @@ def _csc_col_run(csc: sp.csc_matrix, lo: int, hi: int) -> sp.csc_matrix:
 
 
 def _as_square_scipy(adj) -> sp.csr_matrix:
-    """Canonicalize scipy matrices / repro containers to scipy CSR."""
+    """Canonicalize a scipy matrix of any format (or a dense array) to CSR."""
     if sp.issparse(adj):
         return adj.tocsr()
-    if type(adj).__name__ == "CSCMatrix":
-        return _as_scipy_csc(adj).tocsr()
-    if hasattr(adj, "indptr"):
-        return _as_scipy_csr(adj)
     return sp.csr_matrix(adj)
 
 

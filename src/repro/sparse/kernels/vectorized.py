@@ -4,9 +4,9 @@ Every kernel here is a segment reduction in disguise, and every segment
 reduction is expressed as either a ``bincount`` (1-D) or a sparse
 selection-matrix product (2-D), both of which run in compiled code:
 
-* the product-order SpMM kernels wrap the CSR/CSC arrays in scipy
-  containers (a zero-copy view, not a format conversion) and use its
-  compiled sparse-times-dense routines;
+* the product-order SpMM kernels run scipy's compiled sparse-times-dense
+  routines on the CSR/CSC operand (a scipy sparse array is wrapped as a
+  matrix, zero-copy, not converted);
 * ``segment_sum`` over ``(E, F)`` values multiplies by an ``(N, E)``
   one-hot selection matrix built directly in CSC form — no sorting, no
   transposes, duplicate indices accumulate exactly like ``np.add.at``;
@@ -141,8 +141,7 @@ class VectorizedBackend(KernelBackend):
         for a, b in zip(mats, denses):
             check_spmm_shapes(a.shape, b)
         fmts = {
-            "csc" if getattr(a, "format", None) == "csc"
-            or type(a).__name__ == "CSCMatrix" else "csr"
+            "csc" if getattr(a, "format", None) == "csc" else "csr"
             for a in mats
         }
         widths = {b.shape[1] for b in denses}

@@ -70,7 +70,6 @@ from repro.sweep.registry import (
     all_sweeps,
     get_sweep,
     register_sweep,
-    sweep_names,
 )
 from repro.sweep.spec import (
     AXES,
@@ -120,6 +119,5 @@ __all__ = [
     "resolve_objectives",
     "run_sweep",
     "seed_variance_result",
-    "sweep_names",
     "sweep_report_text",
 ]

@@ -149,7 +149,7 @@ def resolve_objectives(objectives: ObjectivesLike) -> Tuple[Objective, ...]:
     return tuple(resolved)
 
 
-def dominates(
+def dominates(  # repro: lint-ok[orphan] oracle of the Pareto tests
     p: SweepPointResult,
     q: SweepPointResult,
     objectives: ObjectivesLike = None,

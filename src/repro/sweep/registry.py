@@ -9,7 +9,7 @@ Ad-hoc grids (``repro sweep --grid ...``) bypass the registry entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import UnknownSweepError
 from repro.sweep.spec import SweepSpec
@@ -32,10 +32,6 @@ def all_sweeps() -> List[SweepSpec]:
     """Every registered sweep, sorted by name."""
     _ensure_populated()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-def sweep_names() -> Tuple[str, ...]:
-    return tuple(s.name for s in all_sweeps())
 
 
 def get_sweep(name: str) -> SweepSpec:

@@ -13,19 +13,28 @@ import shutil
 import pytest
 
 import repro
+from repro.analysis.rules.orphan import CALLER_DIRS
 from repro.runtime.keys import CODE_SCHEMA_VERSION
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(PACKAGE_ROOT))
 
 
 @pytest.fixture()
 def scratch_tree(tmp_path):
-    """A full copy of the repro package, safe to mutate."""
-    dest = tmp_path / "repro"
-    shutil.copytree(
-        PACKAGE_ROOT, dest,
-        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"),
-    )
+    """A full copy of the repro package, safe to mutate.
+
+    The copy sits at ``src/repro`` beside copies of the caller
+    directories, as in the checkout, so the orphan rule sees the same
+    uses it sees in the shipped tree.
+    """
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    dest = tmp_path / "src" / "repro"
+    shutil.copytree(PACKAGE_ROOT, dest, ignore=ignore)
+    for name in CALLER_DIRS:
+        src = os.path.join(REPO_ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, tmp_path / name, ignore=ignore)
     return dest
 
 

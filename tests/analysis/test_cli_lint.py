@@ -72,7 +72,7 @@ def test_json_format_is_machine_readable(scratch_tree, capsys):
     assert payload["exit_code"] == 1
     assert payload["rules"] == [
         "determinism", "key-coverage", "schema-drift", "store-write",
-        "except-swallow", "registry-sync",
+        "except-swallow", "registry-sync", "orphan",
     ]
     (finding,) = payload["findings"]
     assert finding["rule"] == "determinism"
@@ -150,5 +150,5 @@ def test_lint_help_lists_rules():
 
     assert list(rule_ids()) == [
         "determinism", "key-coverage", "schema-drift", "store-write",
-        "except-swallow", "registry-sync",
+        "except-swallow", "registry-sync", "orphan",
     ]

@@ -1,7 +1,7 @@
 """Each violation class, seeded into a scratch tree, fires its rule.
 
 The acceptance contract: `repro lint` exits 0 on the shipped tree, and
-seeding any of the six violation classes makes it exit 1 naming the
+seeding any of the seven violation classes makes it exit 1 naming the
 rule, file, and line.
 """
 
@@ -311,6 +311,51 @@ def test_kind_filter_must_validate(scratch_tree):
     )
     hits = findings_for(scratch_tree, "registry-sync")
     assert len(hits) == 1 and "--kind" in hits[0].message
+
+
+# ----------------------------------------------------------------------
+# rule 7: orphan definitions
+# ----------------------------------------------------------------------
+def test_planted_orphan_is_flagged(scratch_tree):
+    # A call from its own body (recursion) is not a use.
+    append_to(scratch_tree / "graphs" / "stats.py", (
+        "\n\ndef planted_orphan(n):\n"
+        "    return planted_orphan(n - 1) if n else 0\n"
+    ))
+    hits = findings_for(scratch_tree, "orphan")
+    assert len(hits) == 1
+    assert hits[0].path == "graphs/stats.py" and hits[0].line > 0
+    assert "planted_orphan" in hits[0].message
+
+
+def test_use_from_perfbench_only_is_silent(scratch_tree):
+    append_to(scratch_tree / "graphs" / "stats.py",
+              "\n\ndef bench_only():\n    return 0\n")
+    (scratch_tree.parent.parent / "perfbench" / "probe.py").write_text(
+        "from repro.graphs.stats import bench_only\n\nbench_only()\n"
+    )
+    assert findings_for(scratch_tree, "orphan") == []
+
+
+def test_reexport_alone_is_flagged(scratch_tree):
+    append_to(scratch_tree / "graphs" / "stats.py",
+              "\n\ndef only_reexported():\n    return 0\n")
+    append_to(scratch_tree / "graphs" / "__init__.py",
+              "\nfrom repro.graphs.stats import only_reexported\n")
+    rewrite(scratch_tree / "graphs" / "__init__.py",
+            '    "compute_stats",\n',
+            '    "compute_stats",\n    "only_reexported",\n')
+    hits = findings_for(scratch_tree, "orphan")
+    assert [h.path for h in hits] == ["graphs/stats.py"]
+    assert "only_reexported" in hits[0].message
+
+
+def test_orphan_lint_ok_is_silent(scratch_tree):
+    append_to(scratch_tree / "graphs" / "stats.py", (
+        "\n\ndef kept_oracle():  # repro: lint-ok[orphan] a test oracle\n"
+        "    return 0\n"
+    ))
+    assert findings_for(scratch_tree, "orphan") == []
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import QuantSpec, quantize_dequantize, quantize_ste
-from repro.nn.tensor import Tensor
+from repro.compression import QuantSpec, quantize_dequantize
 
 
 def test_spec_levels():
@@ -45,15 +44,6 @@ def test_quantize_distinct_values_count(rng):
     x = rng.normal(size=10000)
     q = quantize_dequantize(x, 4)
     assert len(np.unique(q)) <= 2 * QuantSpec(4).levels + 1
-
-
-def test_ste_row_mask_protects_rows(rng):
-    x = Tensor(rng.normal(size=(4, 6)))
-    mask = np.array([True, False, False, True])
-    out = quantize_ste(x, bits=4, row_mask=mask)
-    np.testing.assert_allclose(out.data[0], x.data[0])
-    np.testing.assert_allclose(out.data[3], x.data[3])
-    assert not np.allclose(out.data[1], x.data[1])
 
 
 @given(st.integers(2, 16))

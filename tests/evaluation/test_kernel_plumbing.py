@@ -170,7 +170,7 @@ def test_cli_sets_process_default_backend():
         # so this asserts the flag takes effect without running a pipeline.
         rc = main(["--kernel-backend", "reference", "experiment", "no-such"])
         assert rc == 2
-        assert K.default_backend().name == "reference"
+        assert K.get_backend(None).name == "reference"
     finally:
         K.set_default_backend(previous)
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.errors import PartitionError
 from repro.graphs import compute_stats, permute_graph, rcm_permutation
-from repro.graphs.reorder import check_permutation, identity_permutation
+from repro.graphs.reorder import check_permutation
 from repro.graphs.stats import gini
 
 
@@ -32,10 +32,6 @@ def test_compute_stats_fields(tiny_graph):
     assert 0.0 < stats.sparsity < 1.0
     assert stats.max_degree >= stats.avg_degree
     assert len(stats.as_row()) == 9
-
-
-def test_identity_permutation():
-    assert np.array_equal(identity_permutation(4), [0, 1, 2, 3])
 
 
 def test_check_permutation_rejects_bad():

@@ -6,7 +6,32 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.hardware import adjacency_profile, extract_workload, layer_specs
-from repro.hardware.workload import LayerSpec
+from repro.hardware.workload import LayerSpec, storage_bytes
+
+
+# (shape, nnz, expected bytes in coo / csr / csc). COO holds two 4-byte
+# indices and a 4-byte value per entry; CSR/CSC hold one pointer per
+# row/column plus one, then an index and a value per entry.
+STORAGE_CASES = {
+    # 4 entries: 48 bytes in COO.
+    "rectangular": ((3, 4), 4, (48, 48, 52)),
+    # 600 entries on 50 columns: CSC's per-entry saving outweighs its
+    # pointer array, so the sparser branch reads CSC (Sec. V-B).
+    "square": ((50, 50), 600, (7200, 5004, 5004)),
+    "empty": ((5, 0), 0, (0, 24, 4)),
+}
+
+
+@pytest.mark.parametrize("shape,nnz,expected", STORAGE_CASES.values(),
+                         ids=STORAGE_CASES.keys())
+def test_storage_bytes(shape, nnz, expected):
+    got = tuple(storage_bytes(fmt, shape, nnz)
+                for fmt in ("coo", "csr", "csc"))
+    assert got == expected
+    coo, _, csc = got
+    assert csc <= coo + 4 * (shape[1] + 1)
+    if nnz > shape[1] + 1:
+        assert csc < coo
 
 
 def test_gcn_layer_specs():

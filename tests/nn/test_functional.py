@@ -140,16 +140,3 @@ def test_segment_max_empty_segment_is_zero():
     out = F.segment_max(Tensor(np.ones((1, 2))), np.array([1]), 3)
     np.testing.assert_allclose(out.data[0], 0.0)
     np.testing.assert_allclose(out.data[2], 0.0)
-
-
-def test_segment_mean_averages():
-    seg = np.array([0, 0, 1])
-    x = Tensor(np.array([[2.0], [4.0], [6.0]]))
-    out = F.segment_mean(x, seg, 2)
-    np.testing.assert_allclose(out.data, [[3.0], [6.0]])
-
-
-def test_scatter_add_accumulates():
-    x = Tensor(np.array([[1.0], [2.0], [3.0]]))
-    out = F.scatter_add_rows(x, np.array([1, 1, 0]), 2)
-    np.testing.assert_allclose(out.data, [[3.0], [3.0]])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.layers import BatchNorm1d, Linear, Module
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -89,16 +89,6 @@ def _quadratic_problem():
     return w, loss
 
 
-def test_sgd_converges():
-    w, loss = _quadratic_problem()
-    opt = SGD([w], lr=0.1)
-    for _ in range(100):
-        opt.zero_grad()
-        loss().backward()
-        opt.step()
-    assert np.allclose(w.data, 3.0, atol=1e-3)
-
-
 def test_adam_converges():
     w, loss = _quadratic_problem()
     opt = Adam([w], lr=0.2)
@@ -111,7 +101,7 @@ def test_adam_converges():
 
 def test_weight_decay_shrinks_weights():
     w = Tensor(np.full(3, 10.0), requires_grad=True)
-    opt = SGD([w], lr=0.1, weight_decay=0.5)
+    opt = Adam([w], lr=0.1, weight_decay=0.5)
     opt.zero_grad()
     (w * Tensor(np.zeros(3))).sum().backward()  # zero task gradient
     opt.step()
@@ -120,7 +110,7 @@ def test_weight_decay_shrinks_weights():
 
 def test_optimizer_rejects_empty_params():
     with pytest.raises(ValueError):
-        SGD([Tensor(np.zeros(2))])  # not trainable
+        Adam([Tensor(np.zeros(2))])  # not trainable
 
 
 def test_optimizer_skips_params_without_grad():

@@ -11,14 +11,9 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError, ShapeError
-from repro.sparse import (
-    COOMatrix,
-    CSCMatrix,
-    CSRMatrix,
-    spmm,
-    spmm_batch,
-)
 from repro.sparse import kernels as K
+
+from tests.sparse.conftest import compressed, random_coo
 
 REF = K.get_backend("reference")
 VEC = K.get_backend("vectorized")
@@ -40,16 +35,6 @@ SHAPES = [
 ]
 
 
-def _random_coo(rng, n, m, nnz, duplicates):
-    rows = rng.integers(0, n, nnz)
-    cols = rng.integers(0, m, nnz)
-    if duplicates and nnz >= 4:
-        # Stack several entries on one coordinate to exercise accumulation.
-        rows[: nnz // 3] = rows[0]
-        cols[: nnz // 3] = cols[0]
-    return COOMatrix((n, m), rows, cols, rng.normal(size=nnz))
-
-
 def _close(a, b):
     np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
 
@@ -69,7 +54,6 @@ def test_backend_choices_exclude_compiled():
 
 def test_default_backend_is_vectorized():
     assert K.get_backend(None).name == "vectorized"
-    assert K.default_backend().name == "vectorized"
 
 
 def test_get_backend_accepts_instances():
@@ -105,30 +89,30 @@ def test_register_backend_rejects_unnamed():
 @pytest.mark.parametrize("fast", FAST, ids=lambda b: b.name)
 @pytest.mark.parametrize("n,m,nnz,dup", SHAPES)
 def test_row_product_parity(rng, n, m, nnz, dup, fast):
-    coo = _random_coo(rng, n, m, nnz, dup)
-    csr = CSRMatrix.from_coo(coo)
+    coo = random_coo(rng, n, m, nnz, dup)
+    csr = compressed(coo, "csr")
     b = rng.normal(size=(m, 5))
     _close(fast.spmm_row_product(csr, b), REF.spmm_row_product(csr, b))
-    _close(fast.spmm_row_product(csr, b), coo.to_dense() @ b)
+    _close(fast.spmm_row_product(csr, b), coo.toarray() @ b)
 
 
 @pytest.mark.parametrize("fast", FAST, ids=lambda b: b.name)
 @pytest.mark.parametrize("n,m,nnz,dup", SHAPES)
 def test_column_product_parity(rng, n, m, nnz, dup, fast):
-    coo = _random_coo(rng, n, m, nnz, dup)
-    csc = CSCMatrix.from_coo(coo)
+    coo = random_coo(rng, n, m, nnz, dup)
+    csc = compressed(coo, "csc")
     b = rng.normal(size=(m, 4))
     _close(fast.spmm_column_product(csc, b), REF.spmm_column_product(csc, b))
-    _close(fast.spmm_column_product(csc, b), coo.to_dense() @ b)
+    _close(fast.spmm_column_product(csc, b), coo.toarray() @ b)
 
 
 @pytest.mark.parametrize("n,m,nnz,dup", SHAPES)
 def test_tiled_multi_tile_parity(rng, n, m, nnz, dup):
     # A tile size smaller than the operands forces multi-tile execution.
     backend = K.TiledBackend(tile_size=3)
-    coo = _random_coo(rng, n, m, nnz, dup)
+    coo = random_coo(rng, n, m, nnz, dup)
     b = rng.normal(size=(m, 5))
-    csr, csc = CSRMatrix.from_coo(coo), CSCMatrix.from_coo(coo)
+    csr, csc = compressed(coo, "csr"), compressed(coo, "csc")
     _close(backend.spmm_row_product(csr, b), REF.spmm_row_product(csr, b))
     _close(
         backend.spmm_column_product(csc, b), REF.spmm_column_product(csc, b)
@@ -136,38 +120,34 @@ def test_tiled_multi_tile_parity(rng, n, m, nnz, dup):
 
 
 def test_single_column_dense_operand(rng):
-    coo = _random_coo(rng, 9, 6, 15, False)
+    csr = random_coo(rng, 9, 6, 15).tocsr()
     b = rng.normal(size=(6, 1))
-    _close(
-        VEC.spmm_row_product(CSRMatrix.from_coo(coo), b),
-        REF.spmm_row_product(CSRMatrix.from_coo(coo), b),
-    )
+    _close(VEC.spmm_row_product(csr, b), REF.spmm_row_product(csr, b))
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized", "tiled"])
 def test_spmm_dispatch_honors_backend_argument(rng, backend):
-    coo = _random_coo(rng, 10, 8, 30, False)
+    coo = random_coo(rng, 10, 8, 30)
     b = rng.normal(size=(8, 3))
-    got_row = spmm(CSRMatrix.from_coo(coo), b, backend=backend)
-    got_col = spmm(CSCMatrix.from_coo(coo), b, backend=backend)
-    _close(got_row, coo.to_dense() @ b)
-    _close(got_col, coo.to_dense() @ b)
+    got_row = K.get_backend(backend).spmm(coo.tocsr(), b)
+    got_col = K.get_backend(backend).spmm(coo.tocsc(), b)
+    _close(got_row, coo.toarray() @ b)
+    _close(got_col, coo.toarray() @ b)
 
 
-def test_spmm_rejects_unknown_backend(rng):
-    coo = _random_coo(rng, 4, 4, 6, False)
+def test_spmm_rejects_unknown_backend():
     with pytest.raises(KernelError):
-        spmm(CSRMatrix.from_coo(coo), rng.normal(size=(4, 2)), backend="nope")
+        K.get_backend("nope")
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized", "tiled"])
 def test_vectorized_shape_errors_match_reference(rng, backend):
-    coo = _random_coo(rng, 6, 5, 10, False)
-    csr = CSRMatrix.from_coo(coo)
+    csr = random_coo(rng, 6, 5, 10).tocsr()
+    kernel = K.get_backend(backend)
     with pytest.raises(ShapeError):
-        spmm(csr, rng.normal(size=(7, 2)), backend=backend)
+        kernel.spmm(csr, rng.normal(size=(7, 2)))
     with pytest.raises(ShapeError):
-        spmm(csr, rng.normal(size=5), backend=backend)
+        kernel.spmm(csr, rng.normal(size=5))
 
 
 # ----------------------------------------------------------------------
@@ -175,42 +155,39 @@ def test_vectorized_shape_errors_match_reference(rng, backend):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
 def test_spmm_batch_matches_per_pair(rng, fmt):
-    cls = CSRMatrix if fmt == "csr" else CSCMatrix
     mats, denses = [], []
     for n, m, nnz, dup in SHAPES:
-        coo = _random_coo(rng, n, m, nnz, dup)
-        mats.append(cls.from_coo(coo))
+        mats.append(compressed(random_coo(rng, n, m, nnz, dup), fmt))
         denses.append(rng.normal(size=(m, 6)))
-    batched = spmm_batch(mats, denses)
+    batched = VEC.spmm_batch(mats, denses)
     for a, b, got in zip(mats, denses, batched):
-        _close(got, spmm(a, b, backend="reference"))
+        _close(got, REF.spmm(a, b))
 
 
 def test_spmm_batch_mixed_formats_falls_back(rng):
-    coo1 = _random_coo(rng, 6, 4, 12, False)
-    coo2 = _random_coo(rng, 3, 5, 8, False)
-    mats = [CSRMatrix.from_coo(coo1), CSCMatrix.from_coo(coo2)]
+    coo1 = random_coo(rng, 6, 4, 12)
+    coo2 = random_coo(rng, 3, 5, 8)
+    mats = [coo1.tocsr(), coo2.tocsc()]
     denses = [rng.normal(size=(4, 3)), rng.normal(size=(5, 3))]
-    batched = spmm_batch(mats, denses)
-    _close(batched[0], coo1.to_dense() @ denses[0])
-    _close(batched[1], coo2.to_dense() @ denses[1])
+    batched = VEC.spmm_batch(mats, denses)
+    _close(batched[0], coo1.toarray() @ denses[0])
+    _close(batched[1], coo2.toarray() @ denses[1])
 
 
 def test_spmm_batch_mixed_widths_falls_back(rng):
-    coo1 = _random_coo(rng, 6, 4, 12, False)
-    coo2 = _random_coo(rng, 3, 5, 8, False)
-    mats = [CSRMatrix.from_coo(coo1), CSRMatrix.from_coo(coo2)]
+    coo1 = random_coo(rng, 6, 4, 12)
+    coo2 = random_coo(rng, 3, 5, 8)
+    mats = [coo1.tocsr(), coo2.tocsr()]
     denses = [rng.normal(size=(4, 3)), rng.normal(size=(5, 7))]
-    batched = spmm_batch(mats, denses)
-    _close(batched[0], coo1.to_dense() @ denses[0])
-    _close(batched[1], coo2.to_dense() @ denses[1])
+    batched = VEC.spmm_batch(mats, denses)
+    _close(batched[0], coo1.toarray() @ denses[0])
+    _close(batched[1], coo2.toarray() @ denses[1])
 
 
 def test_spmm_batch_empty_and_length_mismatch(rng):
-    assert spmm_batch([], []) == []
-    coo = _random_coo(rng, 4, 4, 6, False)
+    assert VEC.spmm_batch([], []) == []
     with pytest.raises(ShapeError):
-        spmm_batch([CSRMatrix.from_coo(coo)], [])
+        VEC.spmm_batch([random_coo(rng, 4, 4, 6).tocsr()], [])
 
 
 # ----------------------------------------------------------------------
@@ -281,18 +258,11 @@ def test_segment_ops_reject_out_of_range_ids(rng, name, bad_id, op):
 
 
 def test_spmm_batch_handles_non_compressed_scipy_inputs(rng):
-    import scipy.sparse as sp
-
-    coo1 = _random_coo(rng, 5, 4, 9, False)
-    coo2 = _random_coo(rng, 6, 4, 7, False)
-    mats = [
-        sp.coo_matrix((coo1.data, (coo1.row, coo1.col)), shape=coo1.shape),
-        sp.coo_matrix((coo2.data, (coo2.row, coo2.col)), shape=coo2.shape),
-    ]
+    mats = [random_coo(rng, 5, 4, 9), random_coo(rng, 6, 4, 7)]
     denses = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
     batched = VEC.spmm_batch(mats, denses)
-    _close(batched[0], coo1.to_dense() @ denses[0])
-    _close(batched[1], coo2.to_dense() @ denses[1])
+    _close(batched[0], mats[0].toarray() @ denses[0])
+    _close(batched[1], mats[1].toarray() @ denses[1])
 
 
 @pytest.mark.parametrize("duplicate_edges", [False, True])

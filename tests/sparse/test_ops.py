@@ -4,87 +4,60 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import (
-    COOMatrix,
-    CSCMatrix,
-    CSRMatrix,
-    from_scipy,
-    spmm,
-    spmm_column_product,
-    spmm_row_product,
-    to_scipy,
-)
+from repro.sparse import get_backend
 
+from tests.sparse.conftest import random_coo
 
-def _random_coo(rng, n=12, m=9, nnz=40):
-    return COOMatrix(
-        (n, m),
-        rng.integers(0, n, nnz),
-        rng.integers(0, m, nnz),
-        rng.normal(size=nnz),
-    )
+REF = get_backend("reference")
 
 
 def test_row_product_matches_dense(rng):
-    coo = _random_coo(rng)
+    coo = random_coo(rng, 12, 9, 40)
     b = rng.normal(size=(9, 5))
-    expected = coo.to_dense() @ b
-    got = spmm_row_product(CSRMatrix.from_coo(coo), b)
+    expected = coo.toarray() @ b
+    got = REF.spmm_row_product(coo.tocsr(), b)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_column_product_matches_dense(rng):
-    coo = _random_coo(rng)
+    coo = random_coo(rng, 12, 9, 40)
     b = rng.normal(size=(9, 5))
-    expected = coo.to_dense() @ b
-    got = spmm_column_product(CSCMatrix.from_coo(coo), b)
+    expected = coo.toarray() @ b
+    got = REF.spmm_column_product(coo.tocsc(), b)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_both_orders_agree(rng):
     # Fig. 7's point: same product, different partial-result order.
-    coo = _random_coo(rng, n=20, m=20, nnz=80)
+    coo = random_coo(rng, 20, 20, 80)
     b = rng.normal(size=(20, 3))
-    row = spmm_row_product(CSRMatrix.from_coo(coo), b)
-    col = spmm_column_product(CSCMatrix.from_coo(coo), b)
+    row = REF.spmm_row_product(coo.tocsr(), b)
+    col = REF.spmm_column_product(coo.tocsc(), b)
     np.testing.assert_allclose(row, col, atol=1e-12)
 
 
 def test_spmm_dispatch(rng):
-    coo = _random_coo(rng)
+    coo = random_coo(rng, 12, 9, 40)
     b = rng.normal(size=(9, 2))
+    kernel = get_backend(None)
     np.testing.assert_allclose(
-        spmm(CSRMatrix.from_coo(coo), b), spmm(CSCMatrix.from_coo(coo), b),
+        kernel.spmm(coo.tocsr(), b), kernel.spmm(coo.tocsc(), b),
         atol=1e-12,
     )
 
 
 def test_spmm_rejects_unknown_type():
     with pytest.raises(TypeError):
-        spmm(np.eye(3), np.eye(3))
+        get_backend(None).spmm(np.eye(3), np.eye(3))
 
 
 def test_spmm_shape_mismatch(rng):
-    coo = _random_coo(rng)
+    csr = random_coo(rng, 12, 9, 40).tocsr()
     with pytest.raises(ShapeError):
-        spmm_row_product(CSRMatrix.from_coo(coo), rng.normal(size=(7, 2)))
+        REF.spmm_row_product(csr, rng.normal(size=(7, 2)))
 
 
 def test_spmm_rejects_1d_operand(rng):
-    coo = _random_coo(rng)
+    csr = random_coo(rng, 12, 9, 40).tocsr()
     with pytest.raises(ShapeError):
-        spmm_row_product(CSRMatrix.from_coo(coo), rng.normal(size=9))
-
-
-def test_scipy_roundtrip(rng):
-    coo = _random_coo(rng)
-    back = from_scipy(to_scipy(coo), "coo")
-    np.testing.assert_allclose(back.to_dense(), coo.to_dense())
-
-
-def test_from_scipy_formats(rng):
-    sp_mat = to_scipy(_random_coo(rng))
-    assert isinstance(from_scipy(sp_mat, "csr"), CSRMatrix)
-    assert isinstance(from_scipy(sp_mat, "csc"), CSCMatrix)
-    with pytest.raises(ValueError):
-        from_scipy(sp_mat, "ellpack")
+        REF.spmm_row_product(csr, rng.normal(size=9))

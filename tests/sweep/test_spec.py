@@ -12,7 +12,6 @@ from repro.sweep import (
     get_sweep,
     parse_grid,
     register_sweep,
-    sweep_names,
 )
 
 
@@ -203,7 +202,7 @@ def test_clamped_duplicate_configs_still_get_distinct_keys():
 # ----------------------------------------------------------------------
 def test_builtin_sweeps_are_registered():
     assert {"ablation-cs", "tab05-scale", "fig12-energy"} <= \
-        set(sweep_names())
+        {s.name for s in all_sweeps()}
     assert get_sweep("ablation-cs").num_points == 32
     assert get_sweep("tab05-scale").num_points == 6
     assert get_sweep("fig12-energy").num_points == 20
