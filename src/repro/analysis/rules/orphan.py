@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, Iterator, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.analysis.core import Finding, LintContext, Rule
 
@@ -83,10 +83,6 @@ def _uses(tree: ast.Module, is_init: bool) -> Iterator[Tuple[str, str]]:
                 yield name, owner
 
 
-def _used_names(trees: Iterable[ast.Module]) -> Set[str]:
-    return {name for tree in trees for name, _ in _uses(tree, False)}
-
-
 class OrphanRule(Rule):
     id = "orphan"
     description = (
@@ -95,7 +91,8 @@ class OrphanRule(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        outside = _used_names(_caller_trees(ctx.root))
+        outside = {name for tree in _caller_trees(ctx.root)
+                   for name, _ in _uses(tree, False)}
         # A use inside a same-named definition counts only for the
         # same-named definitions of other files.
         own: Dict[str, Set[str]] = {}
