@@ -11,7 +11,7 @@ outright.
 
 Legitimate uses keep an explicit allowlist: liveness metadata is *about*
 wall time (the work ledger's ``claimed_at`` stamps, the store's
-``created`` sidecar field, stale-temp age checks) and never flows into
+``created`` header field, stale-temp age checks) and never flows into
 artifact bytes. Anything new either goes through the allowlist here or a
 per-line ``# repro: lint-ok[determinism]`` with a justification.
 """
@@ -59,7 +59,7 @@ SCOPE = (
 #: ``(path, qualified name)`` pairs where a banned call is legitimate —
 #: liveness/bookkeeping metadata that never reaches artifact bytes.
 ALLOWLIST = frozenset({
-    # store sidecar metadata: `created` records when the entry landed.
+    # store entry header: `created` records when the entry landed.
     ("runtime/store.py", "ArtifactStore.put"),
     # crash-debris reclamation compares file ages against wall time.
     ("runtime/backends.py", "LocalDirBackend.sweep_stale_temps"),

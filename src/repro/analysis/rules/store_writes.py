@@ -1,11 +1,11 @@
 """Rule ``store-write``: store bytes move only through the backend.
 
-PR 6's crash-safety guarantees (atomic writes, sidecar-before-blob
-ordering, stale-temp sweeps, content-verified HTTP PUTs) live entirely in
-:mod:`repro.runtime.backends`. They hold only if nothing else touches
-store files: one raw ``open(path, "w")`` or ``os.rename`` against a
-store root reintroduces every torn-write bug the backend was built to
-kill.
+The store's crash-safety guarantees (atomic writes, each entry one blob
+with its metadata, stale-temp sweeps, content-verified HTTP PUTs) live
+entirely in :mod:`repro.runtime.backends`. They hold only if nothing
+else touches store files: one raw ``open(path, "w")`` or ``os.rename``
+against a store root reintroduces every torn-write bug the backend was
+built to kill.
 
 Statically proving a path targets a store root is undecidable, so the
 rule enforces the structural version: inside the store-adjacent packages

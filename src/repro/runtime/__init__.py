@@ -8,8 +8,9 @@ This package is the substrate under ``repro report``:
   interface the store sits on: :class:`LocalDirBackend` (the reference
   on-disk layout) and :class:`HTTPStoreBackend` (a served store shared
   across hosts, selected by an ``http(s)://`` locator);
-* :mod:`repro.runtime.store` — the :class:`ArtifactStore` (pickle +
-  metadata-sidecar layer over whichever backend the locator names);
+* :mod:`repro.runtime.store` — the :class:`ArtifactStore` (one blob per
+  entry, a JSON metadata line then the pickle, over whichever backend
+  the locator names);
 * :mod:`repro.runtime.server` — the stdlib HTTP object-store server
   behind ``repro store serve``;
 * :mod:`repro.runtime.counters` — process-wide counters of real training

@@ -42,7 +42,9 @@ from typing import Any, Dict, Optional, Tuple
 #: v7: `Graph.features` is a canonical CSR matrix, so stored graphs and
 #: GCoD results changed layout (and stored models no longer carry
 #: gradients).
-CODE_SCHEMA_VERSION = 7
+#: v8: a store entry is one blob — its metadata header line, then the
+#: pickled payload — instead of a `.pkl` beside a `.json` sidecar.
+CODE_SCHEMA_VERSION = 8
 
 #: Artifact kinds the store recognises (one subdirectory per kind).
 KIND_GRAPH = "graph"

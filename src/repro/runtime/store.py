@@ -1,11 +1,12 @@
 """The content-addressed artifact store, over a pluggable byte backend.
 
-Layout: ``<kind>/<digest>.pkl`` holds the pickled artifact and
-``<kind>/<digest>.json`` a small metadata sidecar (the key payload,
-creation time, payload sizes, plus any artifact summary the producer
-attached). Everything is addressed by the stable keys built in
-:mod:`repro.runtime.keys`, so a second process — or a second machine with
-the same code — computes the same digests and reuses the same entries.
+Layout: each entry is one blob, ``<kind>/<digest>.pkl``. Its first line
+is the canonical-JSON metadata (the key payload, creation time, payload
+size, plus any artifact summary the producer attached); a ``\n``
+follows, then the pickled artifact. Everything is addressed by the
+stable keys built in :mod:`repro.runtime.keys`, so a second process — or
+a second machine with the same code — computes the same digests and
+reuses the same entries.
 
 Where the bytes live is a :class:`~repro.runtime.backends.StoreBackend`:
 the default is the original local directory layout; an ``http(s)://``
@@ -15,16 +16,15 @@ one cache (and one sweep work ledger — :mod:`repro.sweep.ledger`).
 
 Robustness rules:
 
-* writes are atomic, so a killed process never leaves a half-written
-  entry under a valid name; the metadata sidecar is committed *before*
-  the data blob, so an entry becomes visible only when its metadata
-  already exists — a kill between the two writes leaves an invisible
-  orphan sidecar, never a data blob that lists with empty metadata;
-* reads of corrupted entries (truncated pickle, stale class layout) are
-  treated as a cache miss — the entry is deleted and the caller
-  recomputes; reads and writes that fail for environmental reasons
-  (permissions, disk errors, memory pressure, an unreachable store
-  server) also degrade to misses but leave the stored bytes alone;
+* a put is one atomic backend write, so a killed process never leaves a
+  half-written entry under a valid name, and an entry is never visible
+  without its metadata: both are in the same blob;
+* reads of corrupted entries (a missing or garbled header line, a
+  truncated pickle, a stale class layout) are treated as a cache miss —
+  the entry is deleted and the caller recomputes; reads and writes that
+  fail for environmental reasons (permissions, disk errors, memory
+  pressure, an unreachable store server) also degrade to misses but
+  leave the stored bytes alone;
 * ``put`` never raises: unpicklable artifacts/summaries and unwritable
   backends degrade to not persisting, with a note on stderr — the store
   never makes a run fail;
@@ -41,7 +41,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.runtime.backends import (
     STALE_TMP_S,
@@ -87,6 +87,21 @@ class StoreEntry:
     meta: Dict[str, Any]
 
 
+def _split_entry(blob: bytes) -> Tuple[Dict[str, Any], memoryview]:
+    """The metadata header and a zero-copy view of the pickled payload.
+
+    Raises :class:`ValueError` when the blob has no ``\\n`` or its first
+    line is not a JSON object (``UnicodeDecodeError`` is a ValueError).
+    """
+    end = blob.find(b"\n")
+    if end < 0:
+        raise ValueError("entry has no metadata header")
+    meta = json.loads(blob[:end])
+    if not isinstance(meta, dict):
+        raise ValueError("entry header is not a JSON object")
+    return meta, memoryview(blob)[end + 1:]
+
+
 class ArtifactStore:
     """Content-addressed pickle store over one backend.
 
@@ -126,30 +141,27 @@ class ArtifactStore:
     # naming
     # ------------------------------------------------------------------
     @staticmethod
-    def _data_name(digest: str) -> str:
+    def _entry_name(digest: str) -> str:
         return digest + ".pkl"
 
     @staticmethod
-    def _meta_name(digest: str) -> str:
-        return digest + ".json"
+    def _claim_name(name: str) -> str:
+        return name + ".json"
 
     # Local-path helpers kept for tooling/tests that inspect the on-disk
     # layout directly; only meaningful for directory-backed stores.
     def _dir(self, kind: str) -> str:
         return os.path.join(self.root, kind)
 
-    def _data_path(self, key: ArtifactKey) -> str:
-        return os.path.join(self._dir(key.kind), self._data_name(key.digest))
-
-    def _meta_path(self, key: ArtifactKey) -> str:
-        return os.path.join(self._dir(key.kind), self._meta_name(key.digest))
+    def _entry_path(self, key: ArtifactKey) -> str:
+        return os.path.join(self._dir(key.kind), self._entry_name(key.digest))
 
     # ------------------------------------------------------------------
     # read / write
     # ------------------------------------------------------------------
     def contains(self, key: ArtifactKey) -> bool:
         """True if an entry for ``key`` exists."""
-        return self.backend.exists(key.kind, self._data_name(key.digest))
+        return self.backend.exists(key.kind, self._entry_name(key.digest))
 
     def contains_digest(self, kind: str, digest: str) -> bool:
         """True if an entry of ``kind`` with ``digest`` exists.
@@ -158,26 +170,27 @@ class ArtifactStore:
         planned-point list) check membership without rebuilding the full
         key payloads.
         """
-        return self.backend.exists(kind, self._data_name(digest))
+        return self.backend.exists(kind, self._entry_name(digest))
 
     def get(self, key: ArtifactKey) -> Optional[Any]:
         """The stored artifact, or ``None`` on a miss *or* corrupted entry."""
-        blob = self.backend.read(key.kind, self._data_name(key.digest))
+        blob = self.backend.read(key.kind, self._entry_name(key.digest))
         if blob is None:
             # Miss, or a transient backend failure (EIO, permissions, an
             # unreachable server): treat as a miss, keep the entry.
             return None
         try:
-            return pickle.loads(blob)
+            return pickle.loads(_split_entry(blob)[1])
         except MemoryError:
             return None  # memory pressure: the stored bytes may be fine
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, KeyError, TypeError,
                 ValueError) as exc:
-            # The concrete ways a stored blob fails to load: truncated or
-            # garbled pickle (UnpicklingError/EOFError/IndexError/
-            # ValueError/KeyError) and a stale class layout from an older
-            # code version (AttributeError/ImportError/TypeError).
+            # The concrete ways a stored blob fails to load: a missing or
+            # garbled header line (ValueError), a truncated or garbled
+            # pickle (UnpicklingError/EOFError/IndexError/ValueError/
+            # KeyError) and a stale class layout from an older code
+            # version (AttributeError/ImportError/TypeError).
             # Recover by dropping the entry so the caller recomputes it —
             # with a note, so corruption is visible instead of reading as
             # an ordinary miss. Anything outside this set propagates:
@@ -215,7 +228,8 @@ class ArtifactStore:
             }
             if summary:
                 meta["summary"] = summary
-            meta_blob = canonical_json(meta).encode("utf-8")
+            # canonical JSON escapes every newline, so the header is one line
+            entry = b"\n".join((canonical_json(meta).encode("utf-8"), blob))
         except Exception as exc:
             # pickle.PicklingError, RecursionError, a TypeError from an
             # unserializable summary: the artifact exists only in memory,
@@ -223,14 +237,7 @@ class ArtifactStore:
             self._degrade_note(key, exc)
             return key
         try:
-            # Sidecar first: the entry becomes visible (the .pkl exists)
-            # only once its metadata is durable, so a kill between the
-            # two writes can never produce a listable entry with empty
-            # metadata and no schema tag.
-            self.backend.write(
-                key.kind, self._meta_name(key.digest), meta_blob
-            )
-            self.backend.write(key.kind, self._data_name(key.digest), blob)
+            self.backend.write(key.kind, self._entry_name(key.digest), entry)
         except (OSError, StoreBackendError) as exc:
             self._degrade_note(key, exc)
         return key
@@ -257,14 +264,14 @@ class ArtifactStore:
         blob = canonical_json(payload).encode("utf-8")
         try:
             return self.backend.put_if_absent(
-                KIND_CLAIM, self._meta_name(name), blob
+                KIND_CLAIM, self._claim_name(name), blob
             )
         except StoreBackendError:
             return False
 
     def read_claim(self, name: str) -> Optional[Dict[str, Any]]:
         """The payload of claim ``name``, or ``None``."""
-        blob = self.backend.read(KIND_CLAIM, self._meta_name(name))
+        blob = self.backend.read(KIND_CLAIM, self._claim_name(name))
         if blob is None:
             return None
         try:
@@ -275,19 +282,14 @@ class ArtifactStore:
 
     def release_claim(self, name: str) -> bool:
         """Delete claim ``name``; True iff it existed."""
-        return self.backend.delete(KIND_CLAIM, self._meta_name(name))
+        return self.backend.delete(KIND_CLAIM, self._claim_name(name))
 
     # ------------------------------------------------------------------
     # invalidation / introspection
     # ------------------------------------------------------------------
     def invalidate(self, key: ArtifactKey) -> bool:
         """Remove the entry for ``key``; True if anything was deleted."""
-        removed = False
-        for name in (self._data_name(key.digest),
-                     self._meta_name(key.digest)):
-            if self.backend.delete(key.kind, name):
-                removed = True
-        return removed
+        return self.backend.delete(key.kind, self._entry_name(key.digest))
 
     def clear(self, kind: Optional[str] = None) -> int:
         """Delete every entry (of ``kind``, or all kinds); returns the count.
@@ -307,12 +309,9 @@ class ArtifactStore:
             self.backend.sweep_stale_temps(self._STALE_TMP_S)
         return removed
 
-    def _kinds(self) -> List[str]:
-        return self.backend.list_kinds()
-
     def entries(self, kind: Optional[str] = None) -> Iterator[StoreEntry]:
         """Iterate over stored entries (newest first within each kind)."""
-        for entry_kind in self._kinds():
+        for entry_kind in self.backend.list_kinds():
             if kind is not None and entry_kind != kind:
                 continue
             names = self.backend.list_names(entry_kind)
@@ -320,25 +319,23 @@ class ArtifactStore:
             for fname in names:
                 if not fname.endswith(".pkl"):
                     continue
-                digest = fname[: -len(".pkl")]
-                meta: Dict[str, Any] = {}
-                raw = self.backend.read(
-                    entry_kind, self._meta_name(digest)
-                )
-                if raw is not None:
-                    try:
-                        meta = json.loads(raw.decode("utf-8"))
-                    except (ValueError, UnicodeDecodeError):
-                        meta = {}
-                stat = self.backend.stat(entry_kind, fname)
-                if stat is None:
+                blob = self.backend.read(entry_kind, fname)
+                if blob is None:
                     continue  # deleted concurrently (clear/invalidate race)
+                try:
+                    meta = _split_entry(blob)[0]
+                except ValueError:
+                    meta = {}
+                created = meta.get("created")
+                if created is None:  # garbled header: fall back to mtime
+                    stat = self.backend.stat(entry_kind, fname)
+                    created = stat.mtime if stat is not None else 0.0
                 found.append(
                     StoreEntry(
                         kind=entry_kind,
-                        digest=digest,
-                        size_bytes=stat.size_bytes,
-                        created=meta.get("created", stat.mtime),
+                        digest=fname[: -len(".pkl")],
+                        size_bytes=len(blob),
+                        created=created,
                         meta=meta,
                     )
                 )
@@ -381,9 +378,9 @@ def get_or_compute(
 
     The one fetch/produce/persist protocol every stored kind goes through.
     ``store=None`` only computes. ``summary`` maps a freshly computed
-    artifact to its metadata-sidecar summary. A corrupted entry reads as a
-    miss (and is dropped by ``get``) and an unwritable store still returns
-    the artifact, so neither ever fails the caller.
+    artifact to the summary in its metadata header. A corrupted entry
+    reads as a miss (and is dropped by ``get``) and an unwritable store
+    still returns the artifact, so neither ever fails the caller.
     """
     artifact = store.get(key) if store is not None else None
     if artifact is None:

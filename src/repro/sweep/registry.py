@@ -9,7 +9,7 @@ Ad-hoc grids (``repro sweep --grid ...``) bypass the registry entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import UnknownSweepError
 from repro.sweep.spec import SweepSpec

@@ -1,7 +1,6 @@
 """Quantization machinery tests (shared by QAT / Degree-Quant / GCoD-8bit)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.layers import BatchNorm1d, Linear, Module
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor

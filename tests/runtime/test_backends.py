@@ -132,6 +132,36 @@ def test_http_store_roundtrip(served):
     assert store.read_claim("point-abc") is None
 
 
+def test_http_put_is_one_put(served):
+    server, url, _root = served
+    requests = []
+
+    def hook(handler, method, kind, name):
+        requests.append((method, kind, name))
+        return None
+
+    server.RequestHandlerClass.fault_hook = staticmethod(hook)
+    key = _gcod_key()
+    ArtifactStore(url).put(key, {"speedup": 1.5}, summary={"n": 1})
+    assert [r for r in requests if r[0] == "PUT"] == \
+        [("PUT", "gcod", key.digest + ".pkl")]
+
+
+def test_http_entries_and_stats_read_the_header(served):
+    _server, url, _root = served
+    store = ArtifactStore(url)
+    key = _gcod_key()
+    store.put(key, {"speedup": 1.5}, summary={"dataset": "cora", "n": 2})
+    [entry] = list(ArtifactStore(url).entries())
+    assert (entry.kind, entry.digest) == ("gcod", key.digest)
+    assert entry.meta["summary"] == {"dataset": "cora", "n": 2}
+    assert entry.meta["key"] == key.payload
+    assert entry.created > 0
+    stats = ArtifactStore(url).stats()
+    assert stats["gcod"] == {"entries": 1, "bytes": entry.size_bytes}
+    assert stats["total"]["entries"] == 1
+
+
 def test_http_and_local_share_one_root(served):
     """A blob PUT over HTTP is the same entry a local store reads."""
     _server, url, root = served

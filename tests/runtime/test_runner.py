@@ -117,7 +117,7 @@ def test_corrupted_gcod_entry_retrains_and_matches(cold_store):
     ctx = micro_ctx(store)
     key = ctx.gcod_store_key("cora", "gcn")
     assert store.contains(key)
-    with open(store._data_path(key), "wb") as fh:
+    with open(store._entry_path(key), "wb") as fh:
         fh.write(b"garbage")
     # the experiment results are themselves cached, so corrupting one GCoD
     # artifact only costs a retrain once something asks for that run:

@@ -1,6 +1,8 @@
 """Artifact store: keys, persistence, invalidation, corruption recovery."""
 
+import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -138,7 +140,7 @@ def test_corrupted_entry_recovers(tmp_path):
     store = ArtifactStore(str(tmp_path))
     key = _gcod_key()
     store.put(key, {"fine": True})
-    with open(store._data_path(key), "wb") as fh:
+    with open(store._entry_path(key), "wb") as fh:
         fh.write(b"\x80\x05 this is not a pickle")
     assert store.get(key) is None  # corrupted -> miss
     assert not store.contains(key)  # ... and the entry was dropped
@@ -188,7 +190,7 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# crash-safety: degrade on unpicklable payloads, sidecar-first ordering,
+# crash-safety: degrade on unpicklable payloads, one write per put,
 # stale-temp reclamation
 # ---------------------------------------------------------------------------
 
@@ -199,9 +201,8 @@ def test_put_unpicklable_artifact_degrades(tmp_path, capsys):
     assert "could not persist" in capsys.readouterr().err
     assert not store.contains(key)
     assert store.get(key) is None
-    # nothing half-written: no stray files under the kind directory
-    assert not os.path.exists(store._data_path(key))
-    assert not os.path.exists(store._meta_path(key))
+    # nothing half-written: no entry file under the kind directory
+    assert not os.path.exists(store._entry_path(key))
 
 
 def test_put_unpicklable_summary_degrades(tmp_path, capsys):
@@ -218,11 +219,11 @@ def test_put_unpicklable_summary_degrades(tmp_path, capsys):
     assert store.get(key) == {"fine": True}
 
 
-def test_put_killed_between_sidecar_and_data_is_invisible(tmp_path):
-    """A crash after the first write must not leave a listable entry.
+def test_put_is_one_write_and_a_failed_write_is_invisible(tmp_path):
+    """A put is a single backend write: if it fails, nothing is listable.
 
-    The sidecar (.json) goes first precisely so that the entry-defining
-    .pkl appears only once its metadata is durable.
+    The metadata header and the payload travel in the same blob, so no
+    kill can leave an entry without its metadata.
     """
     store = ArtifactStore(str(tmp_path))
     key = _gcod_key()
@@ -232,9 +233,7 @@ def test_put_killed_between_sidecar_and_data_is_invisible(tmp_path):
 
     def dying_write(kind, name, blob):
         writes.append(name)
-        if len(writes) == 2:
-            raise StoreBackendError("simulated kill")  # .pkl never lands
-        return real_write(kind, name, blob)
+        raise StoreBackendError("simulated kill")  # the entry never lands
 
     backend.write = dying_write
     try:
@@ -242,17 +241,51 @@ def test_put_killed_between_sidecar_and_data_is_invisible(tmp_path):
     finally:
         backend.write = real_write
 
-    # write order is the safety property: metadata sidecar before data
-    assert writes[0].endswith(".json") and writes[1].endswith(".pkl")
+    assert writes == [key.digest + ".pkl"]
     # the interrupted entry is invisible everywhere
     assert not store.contains(key)
     assert store.get(key) is None
     assert list(store.entries()) == []
     assert store.stats()["total"]["entries"] == 0
-    # a later retry fully recovers (the orphan sidecar is overwritten)
+    # a later retry fully recovers
     store.put(key, {"expensive": True})
     assert store.get(key) == {"expensive": True}
     assert [e.digest for e in store.entries()] == [key.digest]
+
+
+@pytest.mark.parametrize("garble", [
+    lambda entry: entry.replace(b"\n", b" "),  # no header line at all
+    lambda entry: b"not json" + entry[entry.index(b"\n"):],
+    lambda entry: entry[:entry.index(b"\n") + 1] + b"\x80\x05 garbled",
+], ids=["no-newline", "header-not-json", "payload-not-pickle"])
+def test_garbled_entry_reads_as_a_miss_and_is_dropped(tmp_path, capsys,
+                                                      garble):
+    store = ArtifactStore(str(tmp_path))
+    key = _gcod_key()
+    store.put(key, {"fine": True}, summary={"dataset": "cora"})
+    path = store._entry_path(key)
+    with open(path, "rb") as fh:
+        entry = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(garble(entry))
+    assert store.get(key) is None
+    assert "dropping corrupted entry" in capsys.readouterr().err
+    assert not store.contains(key)
+
+
+def test_entry_is_header_line_then_pickle(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    key = _gcod_key()
+    store.put(key, {"fine": True}, summary={"dataset": "cora"})
+    [name] = os.listdir(store._dir("gcod"))
+    assert name == key.digest + ".pkl"
+    with open(store._entry_path(key), "rb") as fh:
+        header, payload = fh.read().split(b"\n", 1)
+    meta = json.loads(header)
+    assert meta["summary"] == {"dataset": "cora"}
+    assert meta["schema"] == rkeys.CODE_SCHEMA_VERSION
+    assert meta["size_bytes"] == len(payload)
+    assert pickle.loads(payload) == {"fine": True}
 
 
 def test_stale_temps_swept_on_init(tmp_path):
@@ -329,7 +362,7 @@ def test_get_or_compute_recomputes_corrupted_entry(tmp_path, capsys):
     store = ArtifactStore(str(tmp_path))
     key = _gcod_key()
     store.put(key, {"fine": True})
-    with open(store._data_path(key), "wb") as fh:
+    with open(store._entry_path(key), "wb") as fh:
         fh.write(b"\x80\x05 this is not a pickle")
     compute = _Compute({"fine": "again"})
     assert get_or_compute(store, key, compute) == {"fine": "again"}

@@ -127,7 +127,7 @@ def test_sweep_survives_corrupted_point_entry(cold_sweep):
     root, cold_text = cold_sweep
     store = ArtifactStore(root)
     plan = plan_sweep(micro_ctx(store), ACCEPTANCE_SPEC)
-    with open(store._data_path(plan.keys[3]), "wb") as fh:
+    with open(store._entry_path(plan.keys[3]), "wb") as fh:
         fh.write(b"garbage")
     counters.reset_counters()
     report = run_sweep(micro_ctx(store), ACCEPTANCE_SPEC)

@@ -59,22 +59,21 @@ def count_writes(monkeypatch, store):
     return writes
 
 
-def manifest_mtimes(store, spec=SPEC):
+def manifest_mtime(store, spec=SPEC):
     key = manifest_key(micro_ctx(store), spec)
-    return [os.stat(path).st_mtime_ns
-            for path in (store._data_path(key), store._meta_path(key))]
+    return os.stat(store._entry_path(key)).st_mtime_ns
 
 
 def test_rerun_of_a_complete_sweep_writes_nothing(store, finished_store,
                                                   monkeypatch):
-    before = manifest_mtimes(store)
+    before = manifest_mtime(store)
     writes = count_writes(monkeypatch, store)
     for _ in range(2):
         report = run_sweep(micro_ctx(store), SPEC, jobs=1)
         assert report.points_evaluated == 0
         assert sweep_report_text(SPEC, report.results) == finished_store[1]
     assert writes == []
-    assert manifest_mtimes(store) == before
+    assert manifest_mtime(store) == before
 
 
 def test_sweep_that_evaluates_a_point_writes_the_manifest(store,
@@ -86,8 +85,8 @@ def test_sweep_that_evaluates_a_point_writes_the_manifest(store,
     report = run_sweep(micro_ctx(store), SPEC, jobs=1)
     assert report.points_evaluated == 1
     kinds = [kind for kind, _ in writes]
-    assert kinds.count("sweep") == 2  # the point's sidecar and blob
-    assert kinds.count("manifest") >= 2
+    assert kinds.count("sweep") == 1  # the one evaluated point
+    assert kinds.count("manifest") >= 2  # at its start and at its end
     manifest = load_manifest(store, micro_ctx(store), SPEC)
     assert manifest.complete and manifest.done == manifest.planned
 
@@ -129,18 +128,18 @@ def test_same_grid_under_another_name_or_title_writes(store, monkeypatch,
     writes = count_writes(monkeypatch, store)
     report = run_sweep(micro_ctx(store), spec, jobs=1)
     assert report.points_evaluated == 0
-    assert [kind for kind, _ in writes] == ["manifest", "manifest"]
+    assert [kind for kind, _ in writes] == ["manifest"]
     manifest = load_manifest(store, micro_ctx(store), spec)
     assert (manifest.sweep, manifest.title) == (spec.name, spec.title)
 
 
 def test_corrupted_manifest_is_rewritten(store, monkeypatch):
     key = manifest_key(micro_ctx(store), SPEC)
-    with open(store._data_path(key), "wb") as fh:
+    with open(store._entry_path(key), "wb") as fh:
         fh.write(b"\x80\x05 not a pickle")
     writes = count_writes(monkeypatch, store)
     report = run_sweep(micro_ctx(store), SPEC, jobs=1)
     assert report.points_evaluated == 0
-    assert [kind for kind, _ in writes] == ["manifest", "manifest"]
+    assert [kind for kind, _ in writes] == ["manifest"]
     manifest = load_manifest(store, micro_ctx(store), SPEC)
     assert manifest.complete and manifest.done == manifest.planned
