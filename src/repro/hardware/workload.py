@@ -205,21 +205,19 @@ def adjacency_profile(
     """Measure the structural facts of ``adj`` under ``layout``.
 
     Without a layout the whole matrix is one sparser workload (the view a
-    baseline accelerator has of an untreated graph).
+    baseline accelerator has of an untreated graph). Counts are over
+    canonical CSR: duplicate entries summed first, explicit zeros kept.
     """
-    adj = sp.csr_matrix(adj)
+    adj = adj.tocsr() if sp.issparse(adj) else sp.csr_matrix(adj)
+    if not adj.has_canonical_format:
+        adj = adj.copy()
+        adj.sum_duplicates()
     n = adj.shape[0]
     nnz = int(adj.nnz)
 
     if layout is None:
-        # The full-matrix CSC (and its empty-column count) is only needed
-        # on this branch: the layout branch recomputes both over the
-        # sparser split, so building them unconditionally wasted O(nnz)
-        # on the hot extraction path.
-        csc = adj.tocsc()
-        empty_cols = int((np.diff(csc.indptr) == 0).sum())
-        coo_bytes = storage_bytes("coo", adj.shape, nnz)
-        csc_bytes = storage_bytes("csc", adj.shape, nnz)
+        empty_cols = adj.shape[1] - int(np.count_nonzero(
+            np.bincount(adj.indices, minlength=adj.shape[1])))
         return AdjacencyProfile(
             num_nodes=n,
             nnz=nnz,
@@ -229,27 +227,35 @@ def adjacency_profile(
             num_subgraphs=1,
             max_subgraph_nodes=n,
             skipped_col_fraction=empty_cols / max(n, 1),
-            coo_bytes=coo_bytes,
-            csc_bytes=csc_bytes,
+            coo_bytes=storage_bytes("coo", adj.shape, nnz),
+            csc_bytes=storage_bytes("csc", adj.shape, nnz),
             num_classes=1,
         )
 
-    dense, sparse = layout.split(adj)
-    per_class = tuple(int(v) for v in layout.class_block_workloads(adj))
+    # An entry is denser-branch work iff its row and column share a subgraph.
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    row_subgraph = layout.node_subgraph[rows]
+    mask = row_subgraph == layout.node_subgraph[adj.indices]
+    per_subgraph = np.bincount(row_subgraph[mask],
+                               minlength=layout.num_subgraphs)
+    per_class = np.bincount(layout.node_class[rows[mask]],
+                            minlength=layout.num_classes)
+    dense_nnz = int(per_subgraph.sum())
+    sparse_nnz = nnz - dense_nnz
     max_sub = max((s.size for s in layout.spans), default=n)
-    sparse_csc = sp.csc_matrix(sparse)
-    sparse_empty = int((np.diff(sparse_csc.indptr) == 0).sum())
+    sparse_empty = n - int(np.count_nonzero(
+        np.bincount(adj.indices[~mask], minlength=n)))
     return AdjacencyProfile(
         num_nodes=n,
         nnz=nnz,
-        dense_nnz_per_class=per_class,
-        sparse_nnz=int(sparse.nnz),
-        class_balance=layout.balance_within_classes(adj),
+        dense_nnz_per_class=tuple(int(v) for v in per_class),
+        sparse_nnz=sparse_nnz,
+        class_balance=layout.class_balance(per_subgraph),
         num_subgraphs=layout.num_subgraphs,
         max_subgraph_nodes=int(max_sub),
         skipped_col_fraction=sparse_empty / max(n, 1),
-        coo_bytes=storage_bytes("coo", dense.shape, int(dense.nnz)),
-        csc_bytes=storage_bytes("csc", sparse.shape, int(sparse.nnz)),
+        coo_bytes=storage_bytes("coo", (n, n), dense_nnz),
+        csc_bytes=storage_bytes("csc", (n, n), sparse_nnz),
         num_classes=layout.num_classes,
     )
 

@@ -84,23 +84,19 @@ class BlockLayout:
         """Boolean per stored nnz: True if (row, col) lie in one subgraph.
 
         These entries form the dense diagonal blocks the denser branch
-        processes; the complement goes to the sparser branch.
+        processes; the complement goes to the sparser branch. The mask
+        follows ``adj``'s stored entry order: ``indptr`` order for CSR,
+        ``coo.row`` order for COO, and COO-conversion order otherwise.
         """
-        coo = sp.coo_matrix(adj)
-        return self.node_subgraph[coo.row] == self.node_subgraph[coo.col]
+        rows, cols = _entry_coords(adj)
+        return self.node_subgraph[rows] == self.node_subgraph[cols]
 
     def split(self, adj: sp.spmatrix) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
         """Split ``adj`` into (dense diagonal blocks, sparse remainder)."""
-        coo = sp.coo_matrix(adj)
-        mask = self.diagonal_mask(coo)
-        n = coo.shape[0]
-        dense = sp.csr_matrix(
-            (coo.data[mask], (coo.row[mask], coo.col[mask])), shape=(n, n)
-        )
-        sparse = sp.csr_matrix(
-            (coo.data[~mask], (coo.row[~mask], coo.col[~mask])), shape=(n, n)
-        )
-        return dense, sparse
+        csr = adj.tocsr() if sp.issparse(adj) else sp.csr_matrix(adj)
+        mask = self.diagonal_mask(csr)
+        n = csr.shape[0]
+        return _masked_csr(csr, mask, n), _masked_csr(csr, ~mask, n)
 
     def dense_fraction(self, adj: sp.spmatrix) -> float:
         """Fraction of nnz captured by the diagonal subgraph blocks.
@@ -108,26 +104,18 @@ class BlockLayout:
         The paper's polarization drives this up (e.g. only ~30% of non-zeros
         remain in the sparser workload for Cora, Sec. I).
         """
-        nnz = sp.coo_matrix(adj).nnz
-        if nnz == 0:
-            return 0.0
-        return float(self.diagonal_mask(adj).sum()) / nnz
+        mask = self.diagonal_mask(adj)
+        return float(mask.mean()) if mask.size else 0.0
 
     def class_block_workloads(self, adj: sp.spmatrix) -> np.ndarray:
         """Per-class nnz inside diagonal blocks (chunk workload sizes)."""
-        coo = sp.coo_matrix(adj)
-        mask = self.diagonal_mask(coo)
-        out = np.zeros(self.num_classes, dtype=np.int64)
-        np.add.at(out, self.node_class[coo.row[mask]], 1)
-        return out
+        return np.bincount(self.node_class[self._diagonal_rows(adj)],
+                           minlength=self.num_classes)
 
     def subgraph_workloads(self, adj: sp.spmatrix) -> np.ndarray:
         """Per-subgraph nnz inside its diagonal block."""
-        coo = sp.coo_matrix(adj)
-        mask = self.diagonal_mask(coo)
-        out = np.zeros(self.num_subgraphs, dtype=np.int64)
-        np.add.at(out, self.node_subgraph[coo.row[mask]], 1)
-        return out
+        return np.bincount(self.node_subgraph[self._diagonal_rows(adj)],
+                           minlength=self.num_subgraphs)
 
     def balance_within_classes(self, adj: sp.spmatrix) -> float:
         """Mean over classes of (mean subgraph nnz / max subgraph nnz).
@@ -135,16 +123,22 @@ class BlockLayout:
         1.0 means perfectly balanced subgraphs inside every class — the
         property that lets each chunk run without runtime autotuning.
         """
-        per_subgraph = self.subgraph_workloads(adj)
+        return self.class_balance(self.subgraph_workloads(adj))
+
+    def class_balance(self, per_subgraph: np.ndarray) -> float:
+        """:meth:`balance_within_classes` of per-subgraph nnz counts."""
         ratios = []
         for c in range(self.num_classes):
-            ids = [s.subgraph_id for s in self.spans if s.class_id == c]
-            if not ids:
-                continue
-            loads = per_subgraph[ids]
-            if loads.max() > 0:
+            loads = per_subgraph[
+                [s.subgraph_id for s in self.spans if s.class_id == c]]
+            if loads.size and loads.max() > 0:
                 ratios.append(loads.mean() / loads.max())
         return float(np.mean(ratios)) if ratios else 1.0
+
+    def _diagonal_rows(self, adj: sp.spmatrix) -> np.ndarray:
+        """Row id of every stored entry inside a diagonal block."""
+        rows, cols = _entry_coords(adj)
+        return rows[self.node_subgraph[rows] == self.node_subgraph[cols]]
 
     def describe(self) -> str:
         """Human-readable summary of the layout."""
@@ -161,6 +155,24 @@ class BlockLayout:
                     f"sizes {min(sizes)}..{max(sizes)}"
                 )
         return "\n".join(lines)
+
+
+def _entry_coords(adj) -> Tuple[np.ndarray, np.ndarray]:
+    """(row ids, column ids) of ``adj``'s stored entries, in stored order."""
+    fmt = getattr(adj, "format", None)
+    if fmt == "csr":
+        return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)), adj.indices
+    coo = adj if fmt == "coo" else sp.coo_matrix(adj)
+    return coo.row, coo.col
+
+
+def _masked_csr(csr: sp.csr_matrix, mask: np.ndarray, n: int) -> sp.csr_matrix:
+    """The canonical ``(n, n)`` CSR of ``csr``'s entries where ``mask`` holds."""
+    kept_before = np.concatenate(([0], np.cumsum(mask)))
+    part = sp.csr_matrix((csr.data[mask], csr.indices[mask],
+                          kept_before[csr.indptr]), shape=(n, n))
+    part.sum_duplicates()  # a no-op check when csr is already canonical
+    return part
 
 
 def _subgraphs_per_class(

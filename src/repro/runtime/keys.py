@@ -168,12 +168,18 @@ def jsonable(obj: Any) -> Any:
 
 def canonical_json(payload: Any) -> str:
     """The canonical (sorted-keys, no-whitespace) JSON form of ``payload``."""
-    return json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":"))
+    return dumps_canonical(jsonable(payload))
 
 
-def stable_hash(payload: Any) -> str:
-    """SHA-256 hex digest of the canonical JSON form of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+def dumps_canonical(walked: Any) -> str:
+    """:func:`canonical_json` of what :func:`jsonable` already returned."""
+    return json.dumps(walked, sort_keys=True, separators=(",", ":"))
+
+
+def stable_hash(payload: Any, walked: bool = False) -> str:
+    """SHA-256 of ``payload``'s canonical JSON; ``walked`` skips :func:`jsonable`."""
+    text = dumps_canonical(payload) if walked else canonical_json(payload)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,7 +213,8 @@ def make_key(kind: str, **components: Any) -> ArtifactKey:
     payload["kind"] = kind
     payload["schema"] = CODE_SCHEMA_VERSION
     payload = jsonable(payload)
-    return ArtifactKey(kind=kind, digest=stable_hash(payload), payload=payload)
+    return ArtifactKey(kind=kind, digest=stable_hash(payload, walked=True),
+                       payload=payload)
 
 
 def graph_key(
@@ -360,6 +367,7 @@ __all__: Tuple[str, ...] = (
     "KIND_TRACE",
     "ArtifactKey",
     "canonical_json",
+    "dumps_canonical",
     "experiment_key",
     "gcod_key",
     "graph_key",

@@ -55,6 +55,8 @@ from repro.runtime.keys import (
     CODE_SCHEMA_VERSION,
     KIND_CLAIM,
     canonical_json,
+    dumps_canonical,
+    jsonable,
 )
 
 #: Environment variable overriding the default cache location.
@@ -227,9 +229,9 @@ class ArtifactStore:
                 "key": key.payload,
             }
             if summary:
-                meta["summary"] = summary
-            # canonical JSON escapes every newline, so the header is one line
-            entry = b"\n".join((canonical_json(meta).encode("utf-8"), blob))
+                meta["summary"] = jsonable(summary)
+            # make_key walked key.payload; escaped newlines keep one line
+            entry = b"\n".join((dumps_canonical(meta).encode("utf-8"), blob))
         except Exception as exc:
             # pickle.PicklingError, RecursionError, a TypeError from an
             # unserializable summary: the artifact exists only in memory,

@@ -116,13 +116,6 @@ def _csc_col_run(csc: sp.csc_matrix, lo: int, hi: int) -> sp.csc_matrix:
     )
 
 
-def _as_square_scipy(adj) -> sp.csr_matrix:
-    """Canonicalize a scipy matrix of any format (or a dense array) to CSR."""
-    if sp.issparse(adj):
-        return adj.tocsr()
-    return sp.csr_matrix(adj)
-
-
 def _profile_from_split(
     dense_csr: sp.csr_matrix,
     sparse_csc: sp.csc_matrix,
@@ -180,9 +173,9 @@ def layout_tile_profile(
     its class's chunk, block-local nnz) plus one tile per
     ``tile_columns``-wide CSC column run of the off-diagonal remainder.
     """
-    dense, sparse = layout.split(_as_square_scipy(adj))
+    dense, sparse = layout.split(adj)
     return _profile_from_split(
-        dense.tocsr(), sparse.tocsc(), layout, width, tile_columns,
+        dense, sparse.tocsc(), layout, width, tile_columns,
         bytes_per_nnz,
     )
 
@@ -202,18 +195,16 @@ def tiled_spmm(
     (the sparser branch's distributed aggregation). Returns the numeric
     result together with the :class:`TileProfile` of the work performed.
     """
-    a = _as_square_scipy(adj)
-    check_spmm_shapes(a.shape, b)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
+    check_spmm_shapes(adj.shape, b)
+    n = adj.shape[0]
+    if adj.shape[0] != adj.shape[1]:
         raise ShapeError("tiled_spmm needs a square adjacency operand")
     b = np.asarray(b, dtype=np.float64)
-    dense, sparse = layout.split(a)
+    dense, sparse = layout.split(adj)
     out = np.zeros((n, b.shape[1]))
 
-    dense_csr = dense.tocsr()
     for span in layout.spans:
-        block = _csr_row_block(dense_csr, span.start, span.stop)
+        block = _csr_row_block(dense, span.start, span.stop)
         if block.nnz:
             # Diagonal-block entries have both endpoints inside the span, so
             # the row block *is* the chunk's block-local product.
@@ -227,7 +218,7 @@ def tiled_spmm(
             out += run @ b[lo:hi]
 
     profile = _profile_from_split(
-        dense_csr, sparse_csc, layout, b.shape[1], tile_columns, bytes_per_nnz
+        dense, sparse_csc, layout, b.shape[1], tile_columns, bytes_per_nnz
     )
     return out, profile
 

@@ -166,3 +166,41 @@ def test_feature_bytes(partitioned):
     layer = wl.layers[0]
     assert wl.feature_bytes(layer) == graph.num_nodes * layer.f_in * 4
     assert wl.output_bytes(layer) == graph.num_nodes * layer.f_out * 4
+
+
+def test_every_evaluator_passes_canonical_csr(tmp_path, monkeypatch):
+    """The adjacency reaching ``adjacency_profile`` from ``EvalContext``'s
+    workload helpers and from the sweep point evaluator is canonical
+    float64/int32 CSR, the input its one-pass CSR measurement reads."""
+    from repro.evaluation import EvalContext
+    from repro.hardware import workload as workload_mod
+    from repro.runtime.store import ArtifactStore
+    from repro.sweep import SweepSpec
+    from repro.sweep.engine import _PointEvaluator
+    from repro.sweep.spec import expand
+
+    seen = []
+    measure = workload_mod.adjacency_profile
+
+    def spy(adj, layout=None):
+        seen.append(adj)
+        return measure(adj, layout)
+
+    monkeypatch.setattr(workload_mod, "adjacency_profile", spy)
+    ctx = EvalContext(profile="fast", dataset_scales={"cora": 0.06},
+                      store=ArtifactStore(str(tmp_path)))
+    for stage in ("partitioned", "tuned", "final"):
+        ctx.gcod_workload("cora", "gcn", stage=stage)
+    ctx.baseline_workload("cora", "gcn")
+    assert len(seen) == 4
+    [point] = expand(SweepSpec(name="t", title="t",
+                               axes={"dataset": ("cora",)}), ctx)
+    _PointEvaluator(ctx).evaluate(point)
+    assert len(seen) > 4
+    for adj in seen:
+        assert adj.format == "csr"
+        assert adj.dtype == np.float64 and adj.indices.dtype == np.int32
+        # a fresh matrix over the same arrays re-checks, not a cached flag
+        fresh = sp.csr_matrix((adj.data, adj.indices, adj.indptr),
+                              shape=adj.shape)
+        assert fresh.has_canonical_format

@@ -288,6 +288,35 @@ def test_entry_is_header_line_then_pickle(tmp_path):
     assert pickle.loads(payload) == {"fine": True}
 
 
+def test_header_is_canonical_json_of_meta(tmp_path):
+    """``put`` serializes the key payload ``make_key`` already walked, and
+    walks only the summary: the header bytes equal ``canonical_json`` of
+    the whole metadata dict, numpy scalars and nested payloads included."""
+    store = ArtifactStore(str(tmp_path))
+    key = rkeys.make_key(
+        "gcod", dataset="cora",
+        config={"z": {"b": [1, 2.5, None], "a": (np.int64(3), np.float32(0.5))},
+                "flag": np.bool_(True)},
+    )
+    assert key.digest == rkeys.stable_hash(key.payload)
+    summary = {"acc": np.float64(0.8125), "n": np.int32(7),
+               "per": [np.float32(0.25), np.int64(-2)], 3: ("x", None)}
+    store.put(key, {"fine": True}, summary=summary)
+    with open(store._entry_path(key), "rb") as fh:
+        header = fh.read().split(b"\n", 1)[0]
+    written = json.loads(header)
+    meta = {
+        "kind": key.kind,
+        "digest": key.digest,
+        "schema": rkeys.CODE_SCHEMA_VERSION,
+        "created": written["created"],
+        "size_bytes": written["size_bytes"],
+        "key": key.payload,
+        "summary": summary,
+    }
+    assert header == rkeys.canonical_json(meta).encode("utf-8")
+
+
 def test_stale_temps_swept_on_init(tmp_path):
     root = tmp_path / "store"
     store = ArtifactStore(str(root))
