@@ -232,23 +232,18 @@ def adjacency_profile(
             num_classes=1,
         )
 
-    # An entry is denser-branch work iff its row and column share a subgraph.
-    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-    row_subgraph = layout.node_subgraph[rows]
-    mask = row_subgraph == layout.node_subgraph[adj.indices]
-    per_subgraph = np.bincount(row_subgraph[mask],
+    rows, cols, mask = layout.diagonal_entries(adj)
+    per_subgraph = np.bincount(layout.node_subgraph[rows[mask]],
                                minlength=layout.num_subgraphs)
-    per_class = np.bincount(layout.node_class[rows[mask]],
-                            minlength=layout.num_classes)
     dense_nnz = int(per_subgraph.sum())
     sparse_nnz = nnz - dense_nnz
     max_sub = max((s.size for s in layout.spans), default=n)
     sparse_empty = n - int(np.count_nonzero(
-        np.bincount(adj.indices[~mask], minlength=n)))
+        np.bincount(cols[~mask], minlength=n)))
     return AdjacencyProfile(
         num_nodes=n,
         nnz=nnz,
-        dense_nnz_per_class=tuple(int(v) for v in per_class),
+        dense_nnz_per_class=tuple(map(int, layout.class_totals(per_subgraph))),
         sparse_nnz=sparse_nnz,
         class_balance=layout.class_balance(per_subgraph),
         num_subgraphs=layout.num_subgraphs,

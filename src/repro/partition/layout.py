@@ -80,21 +80,35 @@ class BlockLayout:
     # ------------------------------------------------------------------
     # dense / sparse split — the accelerator's two workloads
     # ------------------------------------------------------------------
+    def diagonal_entries(self, adj: sp.spmatrix) -> Tuple[np.ndarray, ...]:
+        """(row ids, column ids, diagonal mask) of ``adj``'s stored entries.
+
+        An entry is denser-branch work iff its row and column lie in one
+        subgraph. Entries follow ``adj``'s stored order: ``indptr`` order
+        for CSR, ``coo.row`` order for COO, COO-conversion order otherwise.
+        """
+        fmt = getattr(adj, "format", None)
+        if fmt == "csr":
+            rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+            cols = adj.indices
+        else:
+            coo = adj if fmt == "coo" else sp.coo_matrix(adj)
+            rows, cols = coo.row, coo.col
+        return rows, cols, self.node_subgraph[rows] == self.node_subgraph[cols]
+
     def diagonal_mask(self, adj: sp.spmatrix) -> np.ndarray:
         """Boolean per stored nnz: True if (row, col) lie in one subgraph.
 
         These entries form the dense diagonal blocks the denser branch
         processes; the complement goes to the sparser branch. The mask
-        follows ``adj``'s stored entry order: ``indptr`` order for CSR,
-        ``coo.row`` order for COO, and COO-conversion order otherwise.
+        follows ``adj``'s stored entry order (see :meth:`diagonal_entries`).
         """
-        rows, cols = _entry_coords(adj)
-        return self.node_subgraph[rows] == self.node_subgraph[cols]
+        return self.diagonal_entries(adj)[2]
 
     def split(self, adj: sp.spmatrix) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
         """Split ``adj`` into (dense diagonal blocks, sparse remainder)."""
         csr = adj.tocsr() if sp.issparse(adj) else sp.csr_matrix(adj)
-        mask = self.diagonal_mask(csr)
+        mask = self.diagonal_entries(csr)[2]
         n = csr.shape[0]
         return _masked_csr(csr, mask, n), _masked_csr(csr, ~mask, n)
 
@@ -104,17 +118,17 @@ class BlockLayout:
         The paper's polarization drives this up (e.g. only ~30% of non-zeros
         remain in the sparser workload for Cora, Sec. I).
         """
-        mask = self.diagonal_mask(adj)
+        mask = self.diagonal_entries(adj)[2]
         return float(mask.mean()) if mask.size else 0.0
 
     def class_block_workloads(self, adj: sp.spmatrix) -> np.ndarray:
         """Per-class nnz inside diagonal blocks (chunk workload sizes)."""
-        return np.bincount(self.node_class[self._diagonal_rows(adj)],
-                           minlength=self.num_classes)
+        return self.class_totals(self.subgraph_workloads(adj))
 
     def subgraph_workloads(self, adj: sp.spmatrix) -> np.ndarray:
         """Per-subgraph nnz inside its diagonal block."""
-        return np.bincount(self.node_subgraph[self._diagonal_rows(adj)],
+        rows, _, mask = self.diagonal_entries(adj)
+        return np.bincount(self.node_subgraph[rows[mask]],
                            minlength=self.num_subgraphs)
 
     def balance_within_classes(self, adj: sp.spmatrix) -> float:
@@ -125,6 +139,13 @@ class BlockLayout:
         """
         return self.class_balance(self.subgraph_workloads(adj))
 
+    def class_totals(self, per_subgraph: np.ndarray) -> np.ndarray:
+        """Per-class sums of per-subgraph counts, by each span's class."""
+        out = np.zeros(self.num_classes, dtype=np.int64)
+        for s in self.spans:
+            out[s.class_id] += per_subgraph[s.subgraph_id]
+        return out
+
     def class_balance(self, per_subgraph: np.ndarray) -> float:
         """:meth:`balance_within_classes` of per-subgraph nnz counts."""
         ratios = []
@@ -134,11 +155,6 @@ class BlockLayout:
             if loads.size and loads.max() > 0:
                 ratios.append(loads.mean() / loads.max())
         return float(np.mean(ratios)) if ratios else 1.0
-
-    def _diagonal_rows(self, adj: sp.spmatrix) -> np.ndarray:
-        """Row id of every stored entry inside a diagonal block."""
-        rows, cols = _entry_coords(adj)
-        return rows[self.node_subgraph[rows] == self.node_subgraph[cols]]
 
     def describe(self) -> str:
         """Human-readable summary of the layout."""
@@ -155,15 +171,6 @@ class BlockLayout:
                     f"sizes {min(sizes)}..{max(sizes)}"
                 )
         return "\n".join(lines)
-
-
-def _entry_coords(adj) -> Tuple[np.ndarray, np.ndarray]:
-    """(row ids, column ids) of ``adj``'s stored entries, in stored order."""
-    fmt = getattr(adj, "format", None)
-    if fmt == "csr":
-        return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)), adj.indices
-    coo = adj if fmt == "coo" else sp.coo_matrix(adj)
-    return coo.row, coo.col
 
 
 def _masked_csr(csr: sp.csr_matrix, mask: np.ndarray, n: int) -> sp.csr_matrix:

@@ -176,10 +176,9 @@ def dumps_canonical(walked: Any) -> str:
     return json.dumps(walked, sort_keys=True, separators=(",", ":"))
 
 
-def stable_hash(payload: Any, walked: bool = False) -> str:
-    """SHA-256 of ``payload``'s canonical JSON; ``walked`` skips :func:`jsonable`."""
-    text = dumps_canonical(payload) if walked else canonical_json(payload)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def stable_hash(payload: Any) -> str:
+    """SHA-256 of the canonical JSON of ``payload``, already JSON-native."""
+    return hashlib.sha256(dumps_canonical(payload).encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,8 +212,7 @@ def make_key(kind: str, **components: Any) -> ArtifactKey:
     payload["kind"] = kind
     payload["schema"] = CODE_SCHEMA_VERSION
     payload = jsonable(payload)
-    return ArtifactKey(kind=kind, digest=stable_hash(payload, walked=True),
-                       payload=payload)
+    return ArtifactKey(kind=kind, digest=stable_hash(payload), payload=payload)
 
 
 def graph_key(
