@@ -17,9 +17,10 @@ This package is the substrate under ``repro report``:
   runs (the zero-runs-when-warm guarantee is asserted against these);
 * :mod:`repro.runtime.registry` — :class:`ExperimentSpec` descriptors that
   the report generator and CLI discover instead of hard-coding lists;
-* :mod:`repro.runtime.runner` — the plan/execute split with ``--jobs N``
-  process-pool GCoD warming (imported lazily: it pulls in the algorithm
-  stack, which low-level users of the store/counters don't need).
+* :mod:`repro.runtime.runner` — the plan/execute split and the one
+  executor loop behind ``--jobs N`` (imported lazily: it pulls in the
+  algorithm stack, which low-level users of the store/counters don't
+  need).
 """
 
 from repro.runtime.keys import (

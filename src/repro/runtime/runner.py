@@ -1,4 +1,4 @@
-"""Plan/execute experiment runner with process-pool GCoD warming.
+"""Plan/execute experiment runner, and the one executor loop.
 
 The runner splits a report into two phases:
 
@@ -8,19 +8,26 @@ The runner splits a report into two phases:
    dependencies. The union is de-duplicated (Fig. 9, Fig. 11, Tab. VI and
    friends all want ``(cora, gcn)``; it is trained once) and filtered
    against the store, leaving only the runs that truly must execute.
-2. **Execute** — run the unique GCoD tasks, either inline or across a
-   process pool (``jobs > 1``), each worker writing its result straight
-   into the shared on-disk store; then render every experiment in report
-   order in the parent, where each ``context.gcod(...)`` call now hits the
-   warmed store. Rendered results are themselves persisted, so the next
-   invocation skips straight to phase 2's final step.
+2. **Execute** — warm the store with the unique GCoD tasks, then render
+   every experiment in report order, where each ``context.gcod(...)``
+   call now hits the memo or the warmed store. Rendered results are
+   themselves persisted, so the next invocation skips straight to phase
+   2's final step.
+
+Every unit of work — a training run here, a design point in
+:mod:`repro.sweep.engine` — goes through one loop, :func:`drain`, with
+one work function per phase. The loop runs in this process, in each
+child of :func:`drain_pool` (``--jobs N``: contiguous chunks, results
+handed back through the store), or under the claims of a shared store's
+work ledger (:mod:`repro.sweep.ledger`), which lets many processes on
+many hosts split the items exactly once.
 
 Determinism: every task carries its full config (seed included) and a
-*resolved* kernel-backend name, and workers run exactly the same
-:func:`train_or_load` the serial path runs — so ``--jobs 8`` produces
-byte-identical reports (markdown/JSON/CSV) to ``--jobs 1``, just faster.
-The stored artifacts are semantically identical too (every field compares
-equal); only their pickle framing may differ, because workers train on a
+*resolved* kernel-backend name, and pool children run the same work
+function the serial path runs — so ``--jobs 8`` produces byte-identical
+reports (markdown/JSON/CSV) to ``--jobs 1``, just faster. The stored
+artifacts are semantically identical too (every field compares equal);
+only their pickle framing may differ, because children train on a
 store-round-tripped graph object while the serial path trains on the
 freshly generated one.
 """
@@ -46,11 +53,12 @@ from repro.runtime import counters
 
 
 class GCoDTaskError(ReproError, RuntimeError):
-    """A GCoD training task failed (in a pool worker or inline).
+    """A training task failed in a pool child, or a sweep point failed.
 
-    Carries one human-readable message naming the ``(dataset, arch)`` task,
-    so the parent process of a ``--jobs N`` run reports *which* run died
-    rather than surfacing a bare worker traceback. Single-argument by
+    Carries one human-readable message naming the task or point (see
+    :func:`failure`), so the parent process of a ``--jobs N`` run reports
+    *which* run died rather than surfacing a bare worker traceback.
+    In-process training failures propagate unwrapped. Single-argument by
     construction: multiprocessing pickles the exception across the pool
     boundary, and single-message exceptions round-trip reliably.
     """
@@ -73,6 +81,9 @@ class GCoDTask:
 
     def key(self) -> ArtifactKey:
         return self._key
+
+    def __str__(self) -> str:
+        return f"GCoD task ({self.dataset}, {self.arch})"
 
     @cached_property
     def _key(self) -> ArtifactKey:
@@ -190,9 +201,8 @@ def pool_context() -> mp.context.BaseContext:
 
     fork is cheap (no re-import) but only safe on Linux; macOS system
     frameworks and BLAS are fork-unsafe (why CPython's macOS default moved
-    to spawn). Shared by the GCoD warming pool and the sweep engine's
-    point-evaluation pool so the two can never drift in start-method
-    semantics.
+    to spawn). :func:`drain_pool` and the multi-process tests and
+    benchmarks all start their processes from it.
     """
     use_fork = (sys.platform.startswith("linux")
                 and "fork" in mp.get_all_start_methods())
@@ -231,31 +241,139 @@ def train_or_load(task: GCoDTask, store: Optional[ArtifactStore],
                           summary=lambda result: result.to_summary_dict())
 
 
-def _execute_task(payload: Tuple[str, GCoDTask]) -> Tuple[str, str]:
-    """Pool worker: train-or-load one GCoD task into the store.
+def failure(what, exc: Exception) -> GCoDTaskError:
+    """The one failure wrapping (tests match on it):
+    ``<what> failed: <type>: <message>``."""
+    return GCoDTaskError(f"{what} failed: {type(exc).__name__}: {exc}")
 
-    Failures are re-raised as :class:`GCoDTaskError` naming the task. The
-    store's atomic writes guarantee a dying worker leaves no partial entry
-    under a valid key — a rerun replans against whatever the surviving
-    workers completed.
+
+def _never_done(item) -> bool:
+    """``is_done`` of items this process owns outright: the planner has
+    already filtered out everything stored."""
+    return False
+
+
+def drain(
+    items: Dict[str, object],
+    is_done: Callable[[object], bool],
+    work: Callable[[object], object],
+    claims=None,
+) -> int:
+    """The one executor loop: run every item to completion.
+
+    ``items`` maps claim names to work items, in priority order. Each pass
+    over the pending set drops finished items (``is_done``) and works the
+    rest. With ``claims=None`` every item belongs to this process: the
+    serial path and a pool child's chunk. With a claim source (a
+    :class:`~repro.sweep.ledger.WorkLedger`) the process cooperates with
+    peers through a shared store: it works only the items it wins a claim
+    on, and when a pass makes no progress — every pending item is claimed
+    by a live peer — it waits and re-scans; peers' completions (or their
+    claims going stale) unblock it. Returns the number of items this
+    process worked.
+
+    ``work`` failures release the claim (a peer can retry) and propagate.
     """
-    root, task = payload
+    pending = dict(items)
+    worked = 0
+    while pending:
+        progress = False
+        for name, item in list(pending.items()):
+            if is_done(item):
+                del pending[name]
+                progress = True
+                continue
+            if claims is not None and not claims.try_claim(name):
+                continue
+            try:
+                # Re-check under the claim: the previous owner may have
+                # finished right before its claim was released or expired.
+                if claims is None or not is_done(item):
+                    work(item)
+                    worked += 1
+            finally:
+                if claims is not None:
+                    claims.release(name)
+            del pending[name]
+            progress = True
+        if pending and not progress:
+            claims.wait()
+    return worked
+
+
+def drain_pool(items: Dict[str, object], context, jobs: int,
+               worker: Callable, graphs) -> int:
+    """:func:`drain` ``items`` across ``jobs`` pool children; returns the
+    number of items they worked.
+
+    ``worker(context)`` builds the work function the serial path runs.
+    The parent first loads every ``(dataset, seed)`` graph of ``graphs``
+    once, or children sharing a dataset would race the store miss and
+    regenerate it. The items split into contiguous chunks: grid order
+    keeps the platform variants of one trained pipeline adjacent, which
+    bounds how many stored pipelines each child must unpickle. Each child
+    rebuilds the context once from the store locator (a directory or a
+    served store's URL) and hands its results back through the store.
+    Every child runs to the end before the first failure is raised, so a
+    failing item never tears down a healthy child mid-write.
+    """
+    for dataset, seed in dict.fromkeys(graphs):
+        context.graph_at(dataset, context.scale_for(dataset), seed)
+    pairs = list(items.items())
+    size = -(-len(pairs) // jobs)
+    chunks = [dict(pairs[k:k + size]) for k in range(0, len(pairs), size)]
+    rebuild = (type(context), context.store.root, context.profile,
+               context.seed, context._backend_name(),
+               dict(context.dataset_scales))
+    with pool_context().Pool(processes=len(chunks)) as pool:
+        counts = pool.map_async(partial(_drain_chunk, rebuild, worker),
+                                chunks, chunksize=1)
+        pool.close()
+        pool.join()
+    return sum(counts.get())
+
+
+def _drain_chunk(rebuild, worker: Callable, chunk: Dict[str, object]) -> int:
+    """Pool child: rebuild the context, drain ``chunk`` with its worker."""
     from repro.sparse.kernels import set_default_backend
 
-    try:
-        set_default_backend(task.kernel_backend)
-        train_or_load(task, ArtifactStore(root))
-    except Exception as exc:
-        raise _task_error(task, exc) from exc
-    return (task.dataset, task.arch)
+    cls, root, profile, seed, backend, scales = rebuild
+    # Resolved in the parent; pinned process-wide so a spawn-started child
+    # sees the default backend a fork child inherits.
+    set_default_backend(backend)
+    work = worker(cls(profile=profile, seed=seed, kernel_backend=backend,
+                      store=ArtifactStore(root), dataset_scales=scales))
+
+    def named(item) -> None:
+        try:
+            work(item)
+        except GCoDTaskError:
+            raise
+        except Exception as exc:
+            # Named where it crosses the process boundary: the parent
+            # would otherwise see a bare worker traceback.
+            raise failure(item, exc) from exc
+
+    return drain(chunk, _never_done, named)
 
 
-def _task_error(task: GCoDTask, exc: Exception) -> GCoDTaskError:
-    """The one wrapping used by every execution path (tests match on it)."""
-    return GCoDTaskError(
-        f"GCoD task ({task.dataset}, {task.arch}) failed: "
-        f"{type(exc).__name__}: {exc}"
-    )
+def trainer(context, say: Callable[[str], None] = lambda msg: None):
+    """The one task work function: train-or-load a task into the store.
+
+    The context's own runs train through ``context.gcod``, populating its
+    in-memory memo, so store-less rendering reuses them without a second
+    training. Any other task (a sweep point's custom config or scale)
+    trains exactly what the task says and stays out of memory.
+    """
+    def work(task: GCoDTask) -> None:
+        own = context.gcod_store_key(task.dataset, task.arch)
+        if task.key().digest == own.digest:
+            context.gcod(task.dataset, task.arch)
+        else:
+            train_or_load(task, context.store, context.graph_at)
+        say(f"  trained ({task.dataset}, {task.arch})")
+
+    return work
 
 
 def warm_tasks(
@@ -263,62 +381,37 @@ def warm_tasks(
     context,
     jobs: int = 1,
     progress=None,
+    claims=None,
 ) -> int:
-    """Train ``tasks`` into the context's store, possibly across a pool.
+    """Train ``tasks`` into the context's store: the warming phase of
+    ``repro report`` and ``repro sweep``.
 
-    The shared warming phase of ``repro report`` and ``repro sweep``:
-    serially each task trains in-process (through ``context.gcod`` when
-    the task matches the context's own config — populating the in-memory
-    memo — or directly from ``task.config`` otherwise, so custom-config
-    tasks are honored on every path); with ``jobs > 1`` and a store
-    attached, workers run :func:`_execute_task` and hand results back
-    *through* the store. Returns the effective pool width used (1 when
-    serial).
+    Every task runs :func:`trainer`'s work function through :func:`drain`:
+    in this process, across a pool (``jobs > 1`` with a store attached),
+    or through the claims of a shared store's work ledger. Returns the
+    number of tasks this process (or its pool) worked.
     """
     store: Optional[ArtifactStore] = context.store
     say = progress or (lambda msg: None)
     if not tasks:
-        return 1
+        return 0
+    items = {"gcod-" + task.key().digest: task for task in tasks}
+    if claims is not None:
+        say(f"warming {len(tasks)} GCoD run(s) through the shared work "
+            f"ledger (worker {claims.worker})")
+        return drain(items, lambda task: store.contains(task.key()),
+                     trainer(context, say), claims)
     if jobs > 1 and store is None:
-        # Workers hand results back through the shared store; without one
-        # there is nothing to pool over.
+        # Children hand results back through the shared store; without
+        # one there is nothing to pool over.
         say(f"no artifact store attached: ignoring jobs={jobs}, "
             "training serially")
         jobs = 1
     say(f"warming {len(tasks)} GCoD run(s) with jobs={jobs}")
-    if jobs > 1 and store is not None and len(tasks) > 1:
-        # Pre-warm each unique graph from the parent (rendering needs them
-        # anyway): otherwise every worker sharing a dataset would race the
-        # store miss and regenerate the same graph.
-        for dataset in dict.fromkeys(t.dataset for t in tasks):
-            context.graph(dataset)
-        ctx_mp = pool_context()
-        # store.root is a *locator* (a directory path or a served-store
-        # http(s) URL); ArtifactStore(locator) in the worker reconnects to
-        # the same store either way.
-        payloads = [(store.root, task) for task in tasks]
-        with ctx_mp.Pool(processes=min(jobs, len(tasks))) as pool:
-            for dataset, arch in pool.imap_unordered(_execute_task, payloads):
-                say(f"  trained ({dataset}, {arch})")
-        # The results live in the store now; nothing to pull into memory —
-        # rendering loads exactly what it needs.
-        return min(jobs, len(tasks))
-    for task in tasks:
-        context_key = context.gcod_store_key(task.dataset, task.arch)
-        if task.key().digest == context_key.digest:
-            # The context's own run: train through the memo so store-less
-            # rendering reuses it without a second training.
-            context.gcod(task.dataset, task.arch)
-        else:
-            # Custom-config task (a sweep point): train exactly what the
-            # task says, never the context's re-derived config, and keep
-            # it out of memory.
-            try:
-                train_or_load(task, store, context.graph_at)
-            except Exception as exc:
-                raise _task_error(task, exc) from exc
-        say(f"  trained ({task.dataset}, {task.arch})")
-    return 1
+    if jobs > 1 and len(tasks) > 1:
+        return drain_pool(items, context, jobs, trainer,
+                          ((task.dataset, task.seed) for task in tasks))
+    return drain(items, _never_done, trainer(context, say))
 
 
 def execute_plan(

@@ -224,7 +224,9 @@ class ArtifactStore:
                 "kind": key.kind,
                 "digest": key.digest,
                 "schema": CODE_SCHEMA_VERSION,
-                "created": time.time(),
+                # whole seconds: a float's repr varies in length, and
+                # with it every entry's size from run to run
+                "created": int(time.time()),
                 "size_bytes": len(blob),
                 "key": key.payload,
             }

@@ -6,9 +6,9 @@ the way `zigzag`-style DSE loops generalize a single cost-model query:
 * :mod:`repro.sweep.spec` — :class:`SweepSpec` grids over dataset x arch x
   GCoD knobs (C, S, sparsity) x quantization bits x kernel backend x
   hardware scale, expanded into content-addressed :class:`SweepPoint`\\ s;
-* :mod:`repro.sweep.engine` — the store-backed plan/execute loop (cached
-  points skip, unique training deps warm across the process pool, and the
-  point evaluations themselves fan out over ``--jobs`` workers);
+* :mod:`repro.sweep.engine` — the store-backed plan/execute flow (cached
+  points skip; training runs and points drain through the one executor
+  loop, serially, over ``--jobs`` pool children or under ledger claims);
 * :mod:`repro.sweep.manifest` — the planned/done ledger behind
   ``repro sweep --resume``;
 * :mod:`repro.sweep.ledger` — the claim-based work ledger that lets many

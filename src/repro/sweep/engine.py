@@ -8,16 +8,19 @@ The engine mirrors the plan/execute split of :mod:`repro.runtime.runner`:
    remaining points' GCoD training dependencies — points that differ only
    in platform axes (``bits``, ``hw_scale``) or report coordinates share
    one trained pipeline.
-2. **Execute** — warm the unique training runs (across the process pool
-   when ``jobs > 1``), then evaluate the points. With ``jobs > 1`` and a
-   store attached the *point evaluations themselves* fan out across the
-   pool: each is a pure function of stored artifacts (the trained
-   pipeline, the generated graph, the analytic platform models), workers
-   persist their results straight into the store, and the parent collects
-   in grid order — so ``--jobs N`` output is byte-identical to serial,
-   just faster. A :class:`~repro.sweep.manifest.SweepManifest` opened at
+2. **Execute** — warm the unique training runs into the store, then
+   drain the pending points through the one executor loop
+   (:func:`~repro.runtime.runner.drain`) with one work function, a
+   :class:`_PointEvaluator`: in this process, across ``--jobs N`` pool
+   children (:func:`~repro.runtime.runner.drain_pool`; each persists its
+   results straight into the store), or under the claims of a shared
+   store's :class:`~repro.sweep.ledger.WorkLedger`. One collection loop
+   then takes every point in grid order from this process's results,
+   else from the store, and evaluates inline only when both miss — so
+   ``--jobs N`` and a worker fleet render byte-identical output to a
+   serial run. A :class:`~repro.sweep.manifest.SweepManifest` opened at
    execute time records planned/done point keys; an interrupted sweep
-   (worker :class:`GCoDTaskError`, SIGINT) resumes with ``repro sweep
+   (a :class:`GCoDTaskError`, SIGINT) resumes with ``repro sweep
    --resume``, re-running only the missing points.
 
 Per-point metrics are multi-objective, following Figs. 10-12: speedup over
@@ -42,9 +45,10 @@ from repro.runtime.keys import ArtifactKey
 from repro.runtime.runner import (
     GCoDTask,
     GCoDTaskError,
-    _task_error,
-    dataset_graph,
-    pool_context,
+    _never_done,
+    drain,
+    drain_pool,
+    failure,
     train_or_load,
     warm_tasks,
 )
@@ -218,17 +222,23 @@ class _Pipeline:
 
 
 class _PointEvaluator:
-    """Evaluates points with per-sweep caches.
+    """Evaluates points with per-sweep caches; called on an ``(index,
+    point, key)`` item, it is the one point work function.
 
-    Memoized for the evaluator's lifetime (one sweep, or one pool
-    worker's share of it): baselines per (dataset, arch, seed), platform
-    variants per (bits, hw_scale, tech_node), one :class:`_Pipeline` per
-    trained pipeline, and aggregation event-sims per (pipeline, agg_dim,
-    PE count).
+    The serial path, each pool child and each ledger worker run it alike.
+    Memoized for the evaluator's lifetime (one sweep, or one pool child's
+    share of it): baselines per (dataset, arch, seed), platform variants
+    per (bits, hw_scale, tech_node), one :class:`_Pipeline` per trained
+    pipeline, and aggregation event-sims per (pipeline, agg_dim, PE
+    count).
     """
 
-    def __init__(self, context):
+    def __init__(self, context, say=None, total: int = 0):
         self.context = context
+        self.say = say or (lambda msg: None)
+        self.total = total
+        #: what this process evaluated, by grid index.
+        self.results: Dict[int, SweepPointResult] = {}
         self._pipelines: Dict[str, _Pipeline] = {}
         self._sims: Dict[Tuple[str, int, int], Any] = {}
         self._baselines: Dict[Tuple[str, str, int], Tuple] = {}
@@ -323,6 +333,22 @@ class _PointEvaluator:
                 layout_tiles=pipeline.tiles,
             ) if agg_dim else None
         return self._sims[key]
+
+    def __call__(self, item: Tuple[int, SweepPoint, ArtifactKey]) -> None:
+        """Evaluate the item's point, persist it, keep the result."""
+        i, point, key = item
+        try:
+            result = self.evaluate(point)
+        except GCoDTaskError:
+            raise
+        except Exception as exc:
+            raise failure(f"sweep point ({point.label()})", exc) from exc
+        if self.context.store is not None:
+            self.context.store.put(key, result,
+                                   summary=result.to_summary_dict())
+        self.results[i] = result
+        self.say(f"  [{i + 1}/{self.total}] {point.label()}: "
+                 f"{result.speedup_vs_awb:.2f}x vs AWB-GCN")
 
     def evaluate(self, point: SweepPoint) -> SweepPointResult:
         """Compute one point's metrics (the expensive, counted path).
@@ -441,206 +467,6 @@ class _PointEvaluator:
             agg_dma_utilization=dma_util,
         )
 
-def _point_error(point: SweepPoint, exc: Exception) -> GCoDTaskError:
-    """The one wrapping for point-evaluation failures (tests match on it)."""
-    return GCoDTaskError(
-        f"sweep point ({point.label()}) failed: "
-        f"{type(exc).__name__}: {exc}"
-    )
-
-
-def _evaluate_and_put(evaluator: "_PointEvaluator", point: SweepPoint,
-                      key: ArtifactKey,
-                      store: Optional[ArtifactStore]) -> SweepPointResult:
-    """Evaluate ``point`` (failures named) and persist it under ``key``.
-
-    Every executor's miss path: callers have already decided the point is
-    missing, so there is no ``get`` first.
-    """
-    try:
-        result = evaluator.evaluate(point)
-    except GCoDTaskError:
-        raise
-    except Exception as exc:
-        raise _point_error(point, exc) from exc
-    if store is not None:
-        store.put(key, result, summary=result.to_summary_dict())
-    return result
-
-
-#: Per-process evaluator cache for pool workers, keyed by the context
-#: signature. A worker evaluates many points of one sweep; rebuilding the
-#: evaluator per point would re-unpickle the trained pipeline and redo
-#: its workload extraction, layout tiles, event-sims and baselines every
-#: time — the memoized evaluator derives each once per worker, so the
-#: worker's marginal per-point cost equals the serial path's.
-_WORKER_EVALUATORS: Dict[tuple, "_PointEvaluator"] = {}
-
-
-def _worker_evaluator(root, profile, seed, backend, scales):
-    from repro.evaluation.context import EvalContext
-
-    signature = (root, profile, seed, backend, tuple(sorted(scales.items())))
-    evaluator = _WORKER_EVALUATORS.get(signature)
-    if evaluator is None:
-        ctx = EvalContext(
-            profile=profile, seed=seed, kernel_backend=backend,
-            store=ArtifactStore(root),
-        )
-        ctx.dataset_scales = dict(scales)
-        evaluator = _WORKER_EVALUATORS[signature] = _PointEvaluator(ctx)
-    return evaluator
-
-
-def _evaluate_point_worker(payload) -> Tuple[str, bool]:
-    """Pool worker: evaluate one design point and persist it to the store.
-
-    Points are pure functions of stored artifacts — the warmed pipeline,
-    the generated graph, the deterministic platform models — so a worker
-    computes exactly the result the serial path would. Returns the point
-    label and whether it actually evaluated (a stored entry is skipped, so
-    a resumed pooled sweep never re-runs a finished point).
-    """
-    root, profile, seed, backend, scales, point = payload
-    from repro.sparse.kernels import set_default_backend
-
-    # Resolved in the parent; pin it process-wide so a spawn-started
-    # worker sees the same default-backend environment a fork child
-    # inherits.
-    set_default_backend(backend)
-    evaluator = _worker_evaluator(root, profile, seed, backend, scales)
-    store: ArtifactStore = evaluator.context.store
-    key = point.key()
-    if store.contains(key):
-        return point.label(), False
-    _evaluate_and_put(evaluator, point, key, store)
-    return point.label(), True
-
-
-def _evaluate_points_pooled(
-    plan: SweepPlan,
-    context,
-    pending: List[int],
-    jobs: int,
-    report: SweepRunReport,
-    say,
-) -> None:
-    """Fan the pending point evaluations across a process pool."""
-    store: ArtifactStore = context.store
-    backend = context._backend_name()
-    # Pre-warm the graphs every pending point's baselines need: otherwise
-    # each worker sharing a dataset would race the store miss and
-    # regenerate the same graph. Keyed per (dataset, seed) — a seed axis
-    # means the same dataset exists at several generation seeds.
-    for dataset, seed in dict.fromkeys(
-        (ds, plan.points[i].seed)
-        for i in pending
-        for ds in dict.fromkeys(
-            [plan.points[i].dataset]
-            + [d for d, _ in plan.points[i].workload_scales]
-        )
-    ):
-        dataset_graph(store, dataset, context.scale_for(dataset), seed)
-    payloads = [
-        (
-            store.root,
-            context.profile,
-            context.seed,
-            backend,
-            dict(context.dataset_scales),
-            plan.points[i],
-        )
-        for i in pending
-    ]
-    say(f"evaluating {len(pending)} point(s) with jobs={jobs}")
-    processes = min(jobs, len(pending))
-    # Contiguous chunks: grid order keeps platform-axis variants of one
-    # trained pipeline adjacent, so chunking bounds how many stored
-    # GCoDResults each worker must unpickle (the dominant per-worker
-    # cost at real graph scales).
-    chunksize = max(1, -(-len(payloads) // processes))
-    with pool_context().Pool(processes=processes) as pool:
-        for label, evaluated in pool.imap_unordered(
-            _evaluate_point_worker, payloads, chunksize=chunksize
-        ):
-            if evaluated:
-                report.points_evaluated += 1
-                say(f"  evaluated ({label})")
-
-
-def _warm_tasks_ledger(plan: SweepPlan, context, ledger: WorkLedger,
-                       say) -> None:
-    """Warm the unique training runs through shared-store claims.
-
-    Each worker claims a task, trains it inline, and persists the result;
-    peers sharing the store observe membership and skip. Exactly one
-    worker trains each pipeline — the multi-host counterpart of the
-    process-pool dedupe in :func:`~repro.runtime.runner.warm_tasks`.
-    """
-    if not plan.tasks:
-        return
-    store: ArtifactStore = context.store
-    say(f"warming {len(plan.tasks)} GCoD run(s) through the shared "
-        f"work ledger (worker {ledger.worker})")
-
-    def is_done(task: GCoDTask) -> bool:
-        return store.contains(task.key())
-
-    def work(task: GCoDTask) -> None:
-        try:
-            train_or_load(task, store, context.graph_at)
-        except Exception as exc:
-            raise _task_error(task, exc) from exc
-        say(f"  trained ({task.dataset}, {task.arch})")
-
-    ledger.drain(
-        {"gcod-" + task.key().digest: task for task in plan.tasks},
-        is_done, work,
-    )
-
-
-def _evaluate_points_ledger(
-    plan: SweepPlan,
-    context,
-    pending: List[int],
-    ledger: WorkLedger,
-    report: SweepRunReport,
-    say,
-) -> Dict[int, SweepPointResult]:
-    """Evaluate the pending points cooperatively via shared-store claims.
-
-    Every worker runs this same loop against the same store; the claim
-    protocol partitions the grid among them at point granularity, stale
-    claims of dead workers expire, and the loop only returns once *every*
-    pending point has a stored result — so any worker can then run the
-    final aggregation from store contents, byte-identical to a
-    single-host serial sweep. Returns the results this worker computed
-    (kept locally so a store whose writes degrade cannot stall the loop).
-    """
-    store: ArtifactStore = context.store
-    evaluator = _PointEvaluator(context)
-    local: Dict[int, SweepPointResult] = {}
-    total = len(plan.points)
-
-    def is_done(i: int) -> bool:
-        return i in local or store.contains(plan.keys[i])
-
-    def work(i: int) -> None:
-        point = plan.points[i]
-        result = local[i] = _evaluate_and_put(evaluator, point,
-                                              plan.keys[i], store)
-        report.points_evaluated += 1
-        say(f"  [{i + 1}/{total}] {point.label()}: "
-            f"{result.speedup_vs_awb:.2f}x vs AWB-GCN (claimed)")
-
-    say(f"evaluating {len(pending)} point(s) through the shared work "
-        f"ledger (worker {ledger.worker})")
-    ledger.drain(
-        {"point-" + plan.keys[i].digest: i for i in pending},
-        is_done, work,
-    )
-    return local
-
 
 def _resolve_ledger(ledger, store: Optional[ArtifactStore]):
     """The :class:`WorkLedger` to use, or ``None`` for single-host mode.
@@ -670,14 +496,15 @@ def execute_sweep(
     progress=None,
     ledger=None,
 ) -> SweepRunReport:
-    """Phase 2: warm training runs, evaluate every point in grid order.
+    """Phase 2: warm training runs, drain the pending points, collect
+    every point in grid order.
 
     With ``ledger`` active (default whenever the context's store is a
-    shared/served one) the missing points are claimed through the store's
-    work ledger, so any number of workers on any number of hosts can run
-    this same call concurrently: each point is evaluated exactly once
+    shared/served one) training runs and points are claimed through the
+    store's work ledger, so any number of workers on any number of hosts
+    can run this same call concurrently: each item is worked exactly once
     among live workers, dead workers' claims expire, and every worker's
-    final collection pass aggregates the full grid from store contents.
+    collection loop aggregates the full grid from store contents.
     """
     t0 = time.perf_counter()
     runs_before = counters.gcod_run_count()
@@ -689,13 +516,7 @@ def execute_sweep(
         tasks_executed=len(plan.tasks),
     )
     work_ledger = _resolve_ledger(ledger, store)
-    if work_ledger is not None:
-        report.worker = work_ledger.worker
-
     cached_set = set(plan.cached)
-    pending = [i for i in range(len(plan.points)) if i not in cached_set]
-    pool_points = (jobs > 1 and store is not None and len(pending) > 1
-                   and work_ledger is None)
 
     manifest: Optional[SweepManifest] = None
     if store is not None:
@@ -709,49 +530,53 @@ def execute_sweep(
         # ``complete`` from it).
         begun = manifest.done
 
-    if work_ledger is not None:
-        # Multi-worker mode: training dedupes through claims, not the
-        # process pool (each worker stays serial; parallelism is the
-        # worker fleet itself).
-        if jobs > 1:
-            say(f"shared work ledger active: jobs={jobs} applies per "
-                "worker fleet, training through claims")
-        _warm_tasks_ledger(plan, context, work_ledger, say)
-    elif jobs > 1 and store is not None:
-        # warm_tasks is task-faithful on every path; pooling it here is
-        # purely a parallelism win. It must cover *all* tasks before a
-        # pooled evaluation starts, or workers sharing a pipeline would
-        # race to train it.
-        warm_tasks(plan.tasks, context, jobs=jobs, progress=progress)
+    if work_ledger is not None and jobs > 1:
+        say(f"shared work ledger active: jobs={jobs} applies per "
+            "worker fleet, training through claims")
+    if work_ledger is not None or (jobs > 1 and store is not None):
+        # Every training run lands in the store before any point needs
+        # it, or processes sharing a pipeline would race to train it.
+        warm_tasks(plan.tasks, context, jobs, progress, claims=work_ledger)
     elif plan.tasks:
+        # Serially each pipeline trains when its first point needs it, so
+        # a failing training still leaves every earlier point stored.
         say(f"{len(plan.tasks)} GCoD run(s) will train inline")
 
-    ledger_results: Dict[int, SweepPointResult] = {}
+    work = _PointEvaluator(context, say, len(plan.points))
+    items = {"point-" + key.digest: (i, point, key)
+             for i, (point, key) in enumerate(zip(plan.points, plan.keys))
+             if i not in cached_set}
     try:
-        if pool_points:
-            _evaluate_points_pooled(plan, context, pending, jobs, report, say)
-        if work_ledger is not None and pending:
-            ledger_results = _evaluate_points_ledger(
-                plan, context, pending, work_ledger, report, say
-            )
+        if work_ledger is not None:
+            say(f"evaluating {len(items)} point(s) through the shared work "
+                f"ledger (worker {work_ledger.worker})")
+            report.points_evaluated = drain(
+                items, lambda item: store.contains(item[2]), work,
+                claims=work_ledger)
+        elif jobs > 1 and store is not None and len(items) > 1:
+            say(f"evaluating {len(items)} point(s) with jobs={jobs}")
+            report.points_evaluated = drain_pool(
+                items, context, jobs, _PointEvaluator,
+                ((ds, point.seed) for _, point, _ in items.values()
+                 for ds in [point.dataset]
+                 + [d for d, _ in point.workload_scales]))
+        else:
+            report.points_evaluated = drain(items, _never_done, work)
 
-        evaluator = _PointEvaluator(context)
-        fetch_all = pool_points or work_ledger is not None
+        # Collect in grid order: this process's results, then the store's
+        # (cached points, pool children's and peers' results); a point
+        # only evaluates here when both miss (a corrupted entry).
         for i, point in enumerate(plan.points):
-            result = ledger_results.get(i)
-            if result is None and store is not None and \
-                    (i in cached_set or fetch_all):
+            result = work.results.get(i)
+            if result is None and store is not None:
                 result = store.get(plan.keys[i])
                 if result is not None and i in cached_set:
                     report.cache_hits.append(i)
                     counters.record_sweep_point_skip()
-                # a corrupted/missing entry degrades to a recompute below
             if result is None:
-                result = _evaluate_and_put(evaluator, point, plan.keys[i],
-                                           store)
+                work((i, point, plan.keys[i]))
+                result = work.results[i]
                 report.points_evaluated += 1
-                say(f"  [{i + 1}/{len(plan.points)}] {point.label()}: "
-                    f"{result.speedup_vs_awb:.2f}x vs AWB-GCN")
             report.results.append(result)
     finally:
         if manifest is not None:
@@ -762,6 +587,7 @@ def execute_sweep(
                 write_manifest(store, context, plan.spec, manifest)
 
     if work_ledger is not None:
+        report.worker = work_ledger.worker
         report.ledger_stats = work_ledger.stats.to_dict()
     report.gcod_runs = counters.gcod_run_count() - runs_before
     report.wall_s = time.perf_counter() - t0

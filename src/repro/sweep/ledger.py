@@ -2,10 +2,16 @@
 
 When many ``repro sweep`` workers — on one host or many — share a single
 artifact store, the store itself becomes the coordination substrate: the
-grid's missing points are the work queue, store membership is the "done"
-signal, and *claims* (atomic put-if-absent entries under the ``claim``
-kind, :meth:`ArtifactStore.claim`) are the mutual exclusion that keeps
-every point evaluated exactly once.
+grid's missing points and training runs are the work queue, store
+membership is the "done" signal, and *claims* (atomic put-if-absent
+entries under the ``claim`` kind, :meth:`ArtifactStore.claim`) are the
+mutual exclusion that keeps every item worked exactly once.
+
+A :class:`WorkLedger` is the claim source of the one executor loop,
+:func:`repro.runtime.runner.drain`: the serial path, each pool child and
+each ledger worker run the same loop and the same work functions, and
+only a ledger worker passes ``claims``. Each process runs one drainer;
+parallelism is the worker fleet itself.
 
 The protocol, per work item:
 
@@ -32,9 +38,10 @@ from __future__ import annotations
 import os
 import socket
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict
 
+from repro.runtime.runner import drain
 from repro.runtime.store import ArtifactStore
 
 #: default age at which a claim is considered abandoned by a dead worker.
@@ -60,14 +67,7 @@ class LedgerStats:
     waited_s: float = 0.0
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "claimed": self.claimed,
-            "lost": self.lost,
-            "stale_reclaimed": self.stale_reclaimed,
-            "released": self.released,
-            "polls": self.polls,
-            "waited_s": round(self.waited_s, 3),
-        }
+        return {**asdict(self), "waited_s": round(self.waited_s, 3)}
 
 
 @dataclass
@@ -135,56 +135,12 @@ class WorkLedger:
         self.stats.waited_s += self.poll_s
         time.sleep(self.poll_s)
 
-    # ------------------------------------------------------------------
-    # the drain loop
-    # ------------------------------------------------------------------
     def drain(
         self,
         items: Dict[str, object],
         is_done: Callable[[object], bool],
         work: Callable[[object], None],
-        on_skip: Optional[Callable[[object], None]] = None,
     ) -> int:
-        """Run every item to completion, cooperating with peer workers.
-
-        ``items`` maps claim names to work items, in priority order.
-        Each pass over the pending set: finished items (``is_done`` —
-        typically store membership) are dropped, unclaimed items are
-        claimed and ``work``-ed here. When a pass makes no progress,
-        every pending item is claimed by a live peer — wait and re-scan;
-        peers' completions (or their claims going stale) unblock us.
-        Returns the number of items this worker actually worked.
-
-        ``work`` failures release the claim (a peer can retry) and
-        propagate — matching the engine's fail-loudly-and-resume
-        contract.
-        """
-        pending = dict(items)
-        worked = 0
-        while pending:
-            progress = False
-            for name, item in list(pending.items()):
-                if is_done(item):
-                    if on_skip is not None:
-                        on_skip(item)
-                    del pending[name]
-                    progress = True
-                    continue
-                if not self.try_claim(name):
-                    continue
-                try:
-                    # Re-check under the claim: the previous owner may
-                    # have finished right before its claim was released
-                    # or expired.
-                    if not is_done(item):
-                        work(item)
-                        worked += 1
-                    elif on_skip is not None:
-                        on_skip(item)
-                finally:
-                    self.release(name)
-                del pending[name]
-                progress = True
-            if pending and not progress:
-                self.wait()
-        return worked
+        """:func:`~repro.runtime.runner.drain` ``items`` under this
+        ledger's claims; returns the number this worker worked."""
+        return drain(items, is_done, work, claims=self)

@@ -74,11 +74,10 @@ def test_pool_worker_failure_surfaces_named_error(tmp_path,
     with pytest.raises(GCoDTaskError, match=r"\(citeseer, gcn\)"):
         generate_report(ctx, names=NAMES, jobs=2)
 
-    # No partial entry under a valid name. (Orphaned .tmp-* files are
-    # possible here — the pool terminates healthy workers mid-write when
-    # one dies — and are reclaimed by `cache clear`; the inline test
-    # below asserts the stricter no-temp-files property race-free.)
+    # No partial entry under a valid name, and no orphaned .tmp-* file:
+    # the pool lets healthy workers finish their writes before it raises.
     assert not store.contains(ctx.gcod_store_key("citeseer", "gcn"))
+    assert _no_partial_files(store.root)
 
     # the rerun completes from the surviving cache: citeseer retrains,
     # whatever the healthy workers stored is reused

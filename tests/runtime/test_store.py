@@ -317,6 +317,24 @@ def test_header_is_canonical_json_of_meta(tmp_path):
     assert header == rkeys.canonical_json(meta).encode("utf-8")
 
 
+def test_header_length_does_not_depend_on_the_clock(tmp_path, monkeypatch):
+    """``created`` is whole seconds, so a clock reading whose float repr
+    is longer or shorter writes an entry of the same size."""
+    import repro.runtime.store as store_mod
+
+    store = ArtifactStore(str(tmp_path))
+    key = _gcod_key()
+    headers = []
+    for now in (1700000000.5, 1700000000.123456789):
+        monkeypatch.setattr(store_mod.time, "time", lambda now=now: now)
+        store.put(key, {"fine": True})
+        with open(store._entry_path(key), "rb") as fh:
+            headers.append(fh.read().split(b"\n", 1)[0])
+    assert len(repr(1700000000.5)) != len(repr(1700000000.123456789))
+    assert len(headers[0]) == len(headers[1])
+    assert json.loads(headers[0])["created"] == 1700000000
+
+
 def test_stale_temps_swept_on_init(tmp_path):
     root = tmp_path / "store"
     store = ArtifactStore(str(root))
