@@ -1,25 +1,36 @@
-"""A discrete-event, cycle-approximate simulator for the GCoD aggregation phase.
+"""A cycle-approximate schedule of the GCoD aggregation phase.
 
 The analytic model (:mod:`repro.hardware.accelerators.gcod`) costs an
-inference in closed form; this simulator *schedules* it: every chunk is an
-agent consuming work tiles, the HBM is a shared channel serving DMA
-requests, and a simple event queue advances time. It exists to validate the
-analytic model's two central assumptions on real workloads:
+inference in closed form; this simulator *schedules* it tile by tile:
+every chunk consumes its work tiles in order, the HBM is one shared
+channel serving DMA requests first come, first served, and each chunk
+double-buffers, fetching its next tile while it computes the current one.
+It exists to validate the analytic model's two central assumptions on
+real workloads:
 
 1. the chunk array finishes nearly together when fed GCoD-balanced
    subgraphs (static balance replaces AWB-GCN's runtime autotuning);
 2. aggregation latency is the max of the two branches, plus a small
    synchronization tail.
 
-Tests assert the event-driven cycle count stays within a factor of the
+The schedule needs no event queue. Under double buffering a chunk keeps
+exactly one DMA request outstanding and issues the next one at the instant
+its previous DMA ends. The channel is never idle once started, so DMA end
+times are a running sum of tile transfer times, and the oldest outstanding
+request is always that of the chunk served longest ago: the FCFS channel
+serves the chunks round-robin, in ``pe_rate`` order, skipping chunks whose
+tiles are used up. A tile's compute then starts when both its DMA and the
+chunk's previous tile are done. ``tests/hardware/test_event_sim_oracle.py``
+keeps the event-queue simulation and asserts equal reports.
+
+Tests assert the simulated cycle count stays within a factor of the
 analytic estimate and that balanced layouts finish closer together than
 degree-sorted ones.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,14 +39,6 @@ from repro.hardware.workload import GCNWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sparse.kernels import TileProfile
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    payload: dict = field(compare=False, default_factory=dict)
 
 
 @dataclass
@@ -81,12 +84,17 @@ class EventSimReport:
 
 
 class EventDrivenAggregator:
-    """Simulates the aggregation phase tile-by-tile over an event queue.
+    """Schedules the aggregation phase tile by tile.
 
     Each chunk alternates DMA (fetch the tile's adjacency bytes over the
     shared channel, FCFS) and compute (tile MACs at the chunk's PE rate).
     DMA overlaps compute via double buffering: a chunk prefetches its next
-    tile while computing the current one.
+    tile while computing the current one. The FCFS channel therefore
+    serves the chunks round-robin (see the module docstring), and each
+    chunk's compute follows ``free = max(dma_end, free) + macs / rate``.
+    ``events_processed`` counts the three events of each tile — DMA
+    request, tile ready, tile done — that an event-queue simulation of
+    the same schedule would process.
     """
 
     def __init__(
@@ -107,58 +115,38 @@ class EventDrivenAggregator:
                 raise KeyError(f"tile owner {tile.owner!r} has no PE rate")
             queues[tile.owner].append(tile)
 
-        events: List[_Event] = []
-        seq = 0
-
-        def push(time: float, kind: str, **payload):
-            nonlocal seq
-            heapq.heappush(events, _Event(time, seq, kind, payload))
-            seq += 1
-
+        dma_rate = max(self.dma_rate, 1e-12)
         dma_free_at = 0.0
-        compute_free_at = {name: 0.0 for name in self.pe_rate}
-        finished_at = {name: 0.0 for name in self.pe_rate}
         dma_busy = 0.0
-        processed = 0
-
-        # Seed: every chunk requests its first tile at t=0.
-        for name, queue in queues.items():
-            if queue:
-                push(0.0, "dma-request", chunk=name, index=0)
-
-        while events:
-            event = heapq.heappop(events)
-            processed += 1
-            chunk = event.payload["chunk"]
-            index = event.payload["index"]
-            queue = queues[chunk]
-            if event.kind == "dma-request":
-                tile = queue[index]
-                start = max(event.time, dma_free_at)
-                duration = tile.dma_bytes / max(self.dma_rate, 1e-12)
-                dma_free_at = start + duration
-                dma_busy += duration
-                push(dma_free_at, "tile-ready", chunk=chunk, index=index)
-                # Double buffering: request the next tile immediately.
-                if index + 1 < len(queue):
-                    push(dma_free_at, "dma-request", chunk=chunk, index=index + 1)
-            elif event.kind == "tile-ready":
-                tile = queue[index]
-                start = max(event.time, compute_free_at[chunk])
-                duration = tile.macs / max(self.pe_rate[chunk], 1e-12)
-                compute_free_at[chunk] = start + duration
-                push(compute_free_at[chunk], "tile-done", chunk=chunk, index=index)
-            elif event.kind == "tile-done":
-                finished_at[chunk] = event.time
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown event kind {event.kind!r}")
+        finished_at = {name: 0.0 for name in self.pe_rate}
+        # Round r serves every chunk's r-th tile, in pe_rate order,
+        # skipping chunks whose queue is already drained; the rounds up to
+        # the shortest pending queue's length all serve the same chunks.
+        pending = [
+            (name, queue, max(self.pe_rate[name], 1e-12))
+            for name, queue in queues.items() if queue
+        ]
+        start = 0
+        while pending:
+            stop = min(len(queue) for _, queue, _ in pending)
+            for index in range(start, stop):
+                for name, queue, rate in pending:
+                    tile = queue[index]
+                    duration = tile.dma_bytes / dma_rate
+                    dma_free_at += duration
+                    dma_busy += duration
+                    finished_at[name] = (
+                        max(dma_free_at, finished_at[name]) + tile.macs / rate
+                    )
+            start = stop
+            pending = [entry for entry in pending if len(entry[1]) > stop]
 
         total = max(finished_at.values(), default=0.0) + self.sync_cycles
         return EventSimReport(
             cycles=total,
             chunk_finish_cycles=finished_at,
             dma_busy_cycles=dma_busy,
-            events_processed=processed,
+            events_processed=3 * len(tiles),
         )
 
 
@@ -234,16 +222,19 @@ def tiles_from_workload(
                         dma_bytes=share * bytes_per_nnz,
                     )
                 )
-    # Sparser branch: column runs of ~1024 columns each.
+    # Sparser branch: column runs of ~1024 columns each. Their near-even
+    # shares take at most two values, so equal runs share one tile
+    # object (tiles are read, never mutated).
     n_tiles = max(adj.num_nodes // 1024, 1)
+    runs: Dict[int, WorkTile] = {}
     for share in _even_shares(adj.sparse_nnz, n_tiles):
-        tiles.append(
-            WorkTile(
+        if share not in runs:
+            runs[share] = WorkTile(
                 owner="sparse",
                 macs=share * agg_dim,
                 dma_bytes=share * (bytes_per_nnz - 2),  # CSC
             )
-        )
+        tiles.append(runs[share])
     return tiles
 
 
