@@ -161,6 +161,26 @@ def _even_shares(total: int, parts: int) -> List[int]:
     return [base + 1 if i < remainder else base for i in range(parts)]
 
 
+def _scaled_shares(counts: List[int], total: int) -> List[int]:
+    """Scale ``counts`` to integers summing exactly to ``total``.
+
+    Largest-remainder rounding: each count takes the floor of its exact
+    share ``count * total / sum(counts)``, and the units still missing go
+    to the largest fractional parts, earlier counts first on ties. Counts
+    that already sum to ``total`` come back unchanged; all-zero counts
+    split ``total`` near-evenly.
+    """
+    current = sum(counts)
+    if not current:
+        return _even_shares(total, len(counts)) if counts else []
+    quotas = [divmod(count * total, current) for count in counts]
+    shares = [share for share, _ in quotas]
+    by_remainder = sorted(range(len(counts)), key=lambda i: -quotas[i][1])
+    for i in by_remainder[:total - sum(shares)]:
+        shares[i] += 1
+    return shares
+
+
 def tiles_from_profile(
     profile: "TileProfile",
     agg_dim: int,
@@ -199,16 +219,30 @@ def tiles_from_workload(
     When per-subgraph workloads are not supplied, class totals are split
     near-evenly (the balanced case GCoD's Step 1 engineers), with division
     remainders distributed so the tile totals exactly cover every nnz.
+
+    Supplied per-subgraph workloads are measured on the graph the layout
+    partitioned, while a paper-scale workload's class totals are rescaled
+    to the full dataset; each class's counts are therefore scaled, with
+    largest-remainder rounding, to sum exactly to its
+    ``dense_nnz_per_class`` total. On a workload measured on the same
+    graph the counts already sum to it and pass through unchanged.
     """
     adj = workload.adjacency
     tiles: List[WorkTile] = []
     if subgraph_workloads is not None and subgraph_classes is not None:
-        for nnz, cls in zip(subgraph_workloads, subgraph_classes):
+        classes = list(subgraph_classes)
+        counts = [int(nnz) for nnz, _ in zip(subgraph_workloads, classes)]
+        for cls, class_nnz in enumerate(adj.dense_nnz_per_class):
+            members = [i for i, c in enumerate(classes) if c == cls]
+            shares = _scaled_shares([counts[i] for i in members], class_nnz)
+            for i, share in zip(members, shares):
+                counts[i] = share
+        for nnz, cls in zip(counts, classes):
             tiles.append(
                 WorkTile(
                     owner=f"chunk{cls}",
-                    macs=int(nnz) * agg_dim,
-                    dma_bytes=int(nnz) * bytes_per_nnz,
+                    macs=nnz * agg_dim,
+                    dma_bytes=nnz * bytes_per_nnz,
                 )
             )
     else:

@@ -44,7 +44,9 @@ from typing import Any, Dict, Optional, Tuple
 #: gradients).
 #: v8: a store entry is one blob — its metadata header line, then the
 #: pickled payload — instead of a `.pkl` beside a `.json` sidecar.
-CODE_SCHEMA_VERSION = 8
+#: v9: a sweep point's event-sim scales its layout tiles to the paper-scale
+#: class totals, so every stored point's `agg_cycles`/`dma_util` changed.
+CODE_SCHEMA_VERSION = 9
 
 #: Artifact kinds the store recognises (one subdirectory per kind).
 KIND_GRAPH = "graph"

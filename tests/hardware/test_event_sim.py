@@ -146,6 +146,55 @@ def test_tile_totals_exact_for_uneven_splits(
         assert max(macs) - min(macs) <= agg_dim
 
 
+@pytest.fixture(scope="module")
+def cora_layout():
+    """A partitioned fast-profile cora graph (it carries paper_stats)."""
+    from repro.graphs.datasets import load_dataset
+    from repro.partition import partition_graph
+
+    graph = load_dataset("cora", scale=0.25, seed=0)
+    return partition_graph(graph, num_classes=2, num_groups=2,
+                           num_subgraphs=8, rng=0)
+
+
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_layout_tiles_cover_all_nnz(cora_layout, paper_scale):
+    from repro.hardware import extract_workload
+
+    graph, layout = cora_layout
+    wl = extract_workload(graph, layout, "gcn", paper_scale=paper_scale)
+    sub = layout.subgraph_workloads(graph.adj)
+    classes = [s.class_id for s in layout.spans]
+    tiles = tiles_from_workload(wl, agg_dim=16, subgraph_workloads=sub,
+                                subgraph_classes=classes)
+    adj = wl.adjacency
+    assert sum(t.macs for t in tiles) == adj.nnz * 16
+    for cls, class_nnz in enumerate(adj.dense_nnz_per_class):
+        owned = [t for t in tiles if t.owner == f"chunk{cls}"]
+        assert sum(t.macs for t in owned) == class_nnz * 16
+        assert sum(t.dma_bytes for t in owned) == class_nnz * 8
+    dense = [t.macs // 16 for t in tiles if t.owner != "sparse"]
+    if paper_scale:  # rescaled to cora's published edge count
+        assert adj.dense_nnz > 3 * int(sub.sum())
+    else:  # measured on the same graph: the counts pass through as-is
+        assert dense == [int(n) for n in sub]
+
+
+@pytest.mark.parametrize("counts,total,expected", [
+    ([3, 5, 2], 10, [3, 5, 2]),       # already exact: identity
+    ([1, 1, 1], 10, [4, 3, 3]),       # tie: earlier count first
+    ([1, 2, 7], 25, [3, 5, 17]),      # 2.5, 5, 17.5: halves tie, earlier first
+    ([2, 3, 7], 30, [5, 8, 17]),      # 5, 7.5, 17.5: largest remainders
+    ([0, 0], 5, [3, 2]),              # nothing to weight by: near-even
+    ([4, 0, 6], 0, [0, 0, 0]),
+    ([], 0, []),
+])
+def test_scaled_shares(counts, total, expected):
+    from repro.hardware.event_sim import _scaled_shares
+
+    assert _scaled_shares(counts, total) == expected
+
+
 def test_tiles_from_profile_schedules_measured_blocks(partitioned):
     from repro.graphs.normalize import symmetric_normalize
     from repro.hardware import extract_workload
