@@ -5,10 +5,13 @@ that is read, tested and kept in step with its neighbours while no
 result depends on it. This rule flags an undecorated public top-level
 ``def``/``class`` whose name is used nowhere outside its own body.
 
-Uses are searched across the package and, when the package sits in a
-``src/`` directory, the ``perfbench/``, ``benchmarks/`` and
-``examples/`` directories next to it. ``tests/`` is not searched: a
-definition only its own tests call is still an orphan. A use is a
+Uses are searched across the package and the ``perfbench/``,
+``benchmarks/`` and ``examples/`` directories next to the ``src/``
+directory the package sits in. A package outside a ``src/`` checkout (a
+non-editable install, a bare copy) has no such directories to search, so
+the rule checks no definition and reports that once instead.
+``tests/`` is not searched: a definition only its own tests call is
+still an orphan. A use is a
 name or attribute read, a non-``__init__`` import, or a string
 constant spelling the name (``getattr``-style wrapping by name). An
 ``__init__`` re-export import and an ``__all__`` entry are not uses.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, LintContext, Rule
 
@@ -27,12 +30,16 @@ from repro.analysis.core import Finding, LintContext, Rule
 CALLER_DIRS = ("perfbench", "benchmarks", "examples")
 
 
-def _caller_trees(root: str) -> Iterator[ast.Module]:
-    """Parsed modules of :data:`CALLER_DIRS`, when ``root`` is in ``src/``."""
-    src_dir = os.path.dirname(root)
+def _checkout(root: str) -> Optional[str]:
+    """The checkout holding the package ``root``, if it sits in ``src/``."""
+    src_dir = os.path.dirname(os.path.abspath(root))
     if os.path.basename(src_dir) != "src":
-        return
-    repo = os.path.dirname(src_dir)
+        return None
+    return os.path.dirname(src_dir)
+
+
+def _caller_trees(repo: str) -> Iterator[ast.Module]:
+    """Parsed modules of :data:`CALLER_DIRS` in the checkout ``repo``."""
     for name in CALLER_DIRS:
         for dirpath, dirnames, filenames in os.walk(os.path.join(repo, name)):
             dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
@@ -91,7 +98,21 @@ class OrphanRule(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        outside = {name for tree in _caller_trees(ctx.root)
+        repo = _checkout(ctx.root)
+        if repo is None:
+            yield Finding(
+                rule=self.id,
+                path="__init__.py",
+                line=1,
+                message="cannot see perfbench/, benchmarks/ or examples/: "
+                        "the package is not in a src/ checkout, so no "
+                        "definition was checked",
+                hint="lint the package inside its checkout "
+                     "(`repro lint src/repro`), or leave this rule out "
+                     "with --rules",
+            )
+            return
+        outside = {name for tree in _caller_trees(repo)
                    for name, _ in _uses(tree, False)}
         # A use inside a same-named definition counts only for the
         # same-named definitions of other files.

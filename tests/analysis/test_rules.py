@@ -358,6 +358,23 @@ def test_orphan_lint_ok_is_silent(scratch_tree):
     assert findings_for(scratch_tree, "orphan") == []
 
 
+def test_orphan_outside_a_checkout_says_it_cannot_see_callers(tmp_path):
+    # A bare copy has no perfbench/, benchmarks/ or examples/ beside it:
+    # one finding says so, instead of one per definition only they use.
+    import shutil
+
+    from tests.analysis.conftest import PACKAGE_ROOT
+
+    bare = tmp_path / "repro"
+    shutil.copytree(PACKAGE_ROOT, bare,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+    hits = findings_for(bare, "orphan")
+    assert len(hits) == 1, [h.render() for h in hits]
+    assert hits[0].path == "__init__.py"
+    assert "cannot see perfbench/, benchmarks/ or examples/" in \
+        hits[0].message
+
+
 # ----------------------------------------------------------------------
 # engine behavior
 # ----------------------------------------------------------------------
