@@ -42,11 +42,14 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 #: age after which a ``.tmp-*.part`` file is considered an orphan of a
 #: killed writer (atomic writes complete in seconds).
 STALE_TMP_S = 600.0
+#: bytes per read when :meth:`LocalDirBackend.read_head` looks for the
+#: end of a blob's first line (a store header is about 1 KB).
+HEAD_CHUNK = 4096
 
 
 class StoreBackendError(Exception):
@@ -82,6 +85,18 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def read(self, kind: str, name: str) -> Optional[bytes]:
         """The blob's bytes, or ``None`` on a miss *or* any failure."""
+
+    def read_head(self, kind: str, name: str) -> Optional[Tuple[bytes, int]]:
+        """The blob's first line, with its ``\\n`` (the whole blob when it
+        has none), and the blob's size; ``None`` like :meth:`read`.
+
+        This default reads the whole blob. A backend that can read a
+        prefix overrides it, so listing a store reads only headers.
+        """
+        blob = self.read(kind, name)
+        if blob is None:
+            return None
+        return blob[:blob.find(b"\n") + 1 or len(blob)], len(blob)
 
     @abc.abstractmethod
     def write(self, kind: str, name: str, blob: bytes) -> None:
@@ -139,6 +154,24 @@ class LocalDirBackend(StoreBackend):
             # permissions): either way the caller treats it as a miss and
             # the bytes on disk are left alone.
             return None
+
+    def read_head(self, kind: str, name: str) -> Optional[Tuple[bytes, int]]:
+        """Reads :data:`HEAD_CHUNK` bytes at a time up to the first line's
+        end, so a large entry costs no more than its header."""
+        line = b""
+        try:
+            with open(self.path(kind, name), "rb", buffering=0) as fh:
+                size = os.fstat(fh.fileno()).st_size
+                while True:
+                    chunk = fh.read(HEAD_CHUNK)
+                    end = chunk.find(b"\n")
+                    if end >= 0:
+                        return line + chunk[:end + 1], size
+                    if not chunk:
+                        return line, size
+                    line += chunk
+        except (OSError, MemoryError):
+            return None  # as in read: the caller treats it as a miss
 
     def write(self, kind: str, name: str, blob: bytes) -> None:
         try:

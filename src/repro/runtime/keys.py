@@ -208,13 +208,34 @@ def _resolve_backend_name(kernel_backend: Optional[str]) -> str:
     return get_backend(kernel_backend).name
 
 
-def make_key(kind: str, **components: Any) -> ArtifactKey:
-    """Build an :class:`ArtifactKey` for ``kind`` from ``components``."""
-    payload = dict(components)
+def walk_config(config: Any) -> Any:
+    """The key payload of a training config: :func:`jsonable` of it, with
+    its ``kernel_backend`` spelling resolved.
+
+    A config saying ``None`` (the process default) and one naming the
+    default explicitly produce identical numbers, so they must share a
+    digest. :func:`gcod_key` and :func:`sweep_point_key` take this walked
+    form as ``walked_config=``, so a planner keying many points over one
+    config walks it once.
+    """
+    payload = jsonable(config)
+    if isinstance(payload, dict) and "kernel_backend" in payload:
+        payload["kernel_backend"] = _resolve_backend_name(
+            payload["kernel_backend"]
+        )
+    return payload
+
+
+def _walked_key(kind: str, payload: Dict[str, Any]) -> ArtifactKey:
+    """The key of ``payload``, already JSON-native; adds kind and schema."""
     payload["kind"] = kind
     payload["schema"] = CODE_SCHEMA_VERSION
-    payload = jsonable(payload)
     return ArtifactKey(kind=kind, digest=stable_hash(payload), payload=payload)
+
+
+def make_key(kind: str, **components: Any) -> ArtifactKey:
+    """Build an :class:`ArtifactKey` for ``kind`` from ``components``."""
+    return _walked_key(kind, jsonable(components))
 
 
 def graph_key(
@@ -232,27 +253,24 @@ def gcod_key(
     kernel_backend: Optional[str],
     seed: int,
     profile: str,
+    walked_config: Any = None,
 ) -> ArtifactKey:
-    """Key for a :class:`~repro.algorithm.pipeline.GCoDResult`."""
-    backend = _resolve_backend_name(kernel_backend)
-    config_payload = jsonable(config)
-    if isinstance(config_payload, dict) and "kernel_backend" in config_payload:
-        # Normalize the config's backend spelling too: a config saying
-        # ``None`` (process default) and one naming the default explicitly
-        # produce identical numbers, so they must share a digest.
-        config_payload["kernel_backend"] = _resolve_backend_name(
-            config_payload["kernel_backend"]
-        )
-    return make_key(
-        KIND_GCOD,
+    """Key for a :class:`~repro.algorithm.pipeline.GCoDResult`.
+
+    ``walked_config`` is :func:`walk_config` of ``config``, when the
+    caller already has it.
+    """
+    payload = jsonable(dict(
         dataset=dataset,
         scale=scale,
         arch=arch,
-        config=config_payload,
-        kernel_backend=backend,
+        kernel_backend=_resolve_backend_name(kernel_backend),
         seed=seed,
         profile=profile,
-    )
+    ))
+    payload["config"] = (walk_config(config) if walked_config is None
+                         else walked_config)
+    return _walked_key(KIND_GCOD, payload)
 
 
 def trace_key(gcod: ArtifactKey) -> ArtifactKey:
@@ -274,33 +292,27 @@ def sweep_point_key(
     axes: Dict[str, Any],
     workload: Optional[str] = None,
     workload_scales: Any = (),
+    walked_config: Any = None,
 ) -> ArtifactKey:
     """Key for one evaluated design point of a ``repro sweep``.
 
     The payload covers everything the point's metrics depend on — the full
     training config (backend spellings normalized exactly like
-    :func:`gcod_key`), the platform variant (``bits``, ``hw_scale``,
-    ``tech_node``) — plus the raw axis values, because two points may
-    share a resolved config (e.g. ``S`` clamped up to ``C``) while
-    reporting different coordinates. Multi-model points additionally
+    :func:`gcod_key`; ``walked_config`` is :func:`walk_config` of it, when
+    the caller already has it), the platform variant (``bits``,
+    ``hw_scale``, ``tech_node``) — plus the raw axis values, because two
+    points may share a resolved config (e.g. ``S`` clamped up to ``C``)
+    while reporting different coordinates. Multi-model points additionally
     carry the canonical workload-DAG shorthand and the per-dataset
     generation scales every node trained at — without the scales, two
     contexts generating ``citeseer`` at different sizes would collide on
     the key minted from the primary node alone.
     """
-    backend = _resolve_backend_name(kernel_backend)
-    config_payload = jsonable(config)
-    if isinstance(config_payload, dict) and "kernel_backend" in config_payload:
-        config_payload["kernel_backend"] = _resolve_backend_name(
-            config_payload["kernel_backend"]
-        )
-    return make_key(
-        KIND_SWEEP,
+    payload = jsonable(dict(
         dataset=dataset,
         scale=scale,
         arch=arch,
-        config=config_payload,
-        kernel_backend=backend,
+        kernel_backend=_resolve_backend_name(kernel_backend),
         seed=seed,
         profile=profile,
         bits=bits,
@@ -309,7 +321,10 @@ def sweep_point_key(
         axes=dict(sorted(axes.items())),
         workload=workload,
         workload_scales=dict(sorted(dict(workload_scales).items())),
-    )
+    ))
+    payload["config"] = (walk_config(config) if walked_config is None
+                         else walked_config)
+    return _walked_key(KIND_SWEEP, payload)
 
 
 def sweep_manifest_key(
@@ -377,4 +392,5 @@ __all__: Tuple[str, ...] = (
     "sweep_manifest_key",
     "sweep_point_key",
     "trace_key",
+    "walk_config",
 )

@@ -39,8 +39,8 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.runtime.keys import ArtifactKey, gcod_key, graph_key
@@ -50,6 +50,7 @@ from repro.runtime.registry import (
 )
 from repro.runtime.store import ArtifactStore, get_or_compute
 from repro.runtime import counters
+from repro.utils.sysinfo import effective_cpu_count
 
 
 class GCoDTaskError(ReproError, RuntimeError):
@@ -79,24 +80,27 @@ class GCoDTask:
     kernel_backend: str
     config: object  # GCoDConfig; typed loosely to keep imports light
 
-    def key(self) -> ArtifactKey:
-        return self._key
+    def key(self, walked_config: Any = None) -> ArtifactKey:
+        """The task's store key, hashed once per task: the fields are
+        frozen, so the key is too. ``walked_config`` is
+        :func:`~repro.runtime.keys.walk_config` of ``self.config``, when
+        the caller already has it."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = gcod_key(
+                self.dataset,
+                self.scale,
+                self.arch,
+                self.config,
+                self.kernel_backend,
+                self.seed,
+                self.profile,
+                walked_config=walked_config,
+            )
+        return key
 
     def __str__(self) -> str:
         return f"GCoD task ({self.dataset}, {self.arch})"
-
-    @cached_property
-    def _key(self) -> ArtifactKey:
-        # Hashed once per task: the fields are frozen, so the key is too.
-        return gcod_key(
-            self.dataset,
-            self.scale,
-            self.arch,
-            self.config,
-            self.kernel_backend,
-            self.seed,
-            self.profile,
-        )
 
 
 @dataclass
@@ -301,10 +305,17 @@ def drain(
     return worked
 
 
+def pool_width(jobs: int) -> int:
+    """How many pool children ``jobs`` gets: no more than the CPUs this
+    process may use, since a child beyond them only adds a fork and its
+    share of pipeline loads."""
+    return max(1, min(jobs, effective_cpu_count()))
+
+
 def drain_pool(items: Dict[str, object], context, jobs: int,
                worker: Callable, graphs) -> int:
-    """:func:`drain` ``items`` across ``jobs`` pool children; returns the
-    number of items they worked.
+    """:func:`drain` ``items`` across :func:`pool_width` ``(jobs)`` pool
+    children; returns the number of items they worked.
 
     ``worker(context)`` builds the work function the serial path runs.
     The parent first loads every ``(dataset, seed)`` graph of ``graphs``
@@ -320,7 +331,7 @@ def drain_pool(items: Dict[str, object], context, jobs: int,
     for dataset, seed in dict.fromkeys(graphs):
         context.graph_at(dataset, context.scale_for(dataset), seed)
     pairs = list(items.items())
-    size = -(-len(pairs) // jobs)
+    size = -(-len(pairs) // pool_width(jobs))
     chunks = [dict(pairs[k:k + size]) for k in range(0, len(pairs), size)]
     rebuild = (type(context), context.store.root, context.profile,
                context.seed, context._backend_name(),
@@ -407,6 +418,7 @@ def warm_tasks(
         say(f"no artifact store attached: ignoring jobs={jobs}, "
             "training serially")
         jobs = 1
+    jobs = pool_width(jobs)
     say(f"warming {len(tasks)} GCoD run(s) with jobs={jobs}")
     if jobs > 1 and len(tasks) > 1:
         return drain_pool(items, context, jobs, trainer,

@@ -19,8 +19,12 @@ Robustness rules:
 * a put is one atomic backend write, so a killed process never leaves a
   half-written entry under a valid name, and an entry is never visible
   without its metadata: both are in the same blob;
-* reads of corrupted entries (a missing or garbled header line, a
-  truncated pickle, a stale class layout) are treated as a cache miss —
+* ``get`` checks the header line without parsing it: it must start
+  ``{"created":``, name the requested digest, and give a ``size_bytes``
+  equal to the payload's length;
+* reads of corrupted entries (a missing or garbled header line, one
+  naming another digest or payload length, a truncated pickle, a stale
+  class layout) are treated as a cache miss —
   the entry is deleted and the caller recomputes; reads and writes that
   fail for environmental reasons (permissions, disk errors, memory
   pressure, an unreachable store server) also degrade to misses but
@@ -39,9 +43,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import re
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.runtime.backends import (
     STALE_TMP_S,
@@ -89,19 +94,46 @@ class StoreEntry:
     meta: Dict[str, Any]
 
 
-def _split_entry(blob: bytes) -> Tuple[Dict[str, Any], memoryview]:
-    """The metadata header and a zero-copy view of the pickled payload.
+#: The start of every header line ``put`` writes: canonical JSON sorts
+#: ``created`` (an int; a float before the store wrote whole seconds)
+#: first and ``digest`` second.
+_HEADER_START = re.compile(rb'\{"created":[0-9.eE+-]+,"digest":"([0-9a-f]*)"')
 
-    Raises :class:`ValueError` when the blob has no ``\\n`` or its first
-    line is not a JSON object (``UnicodeDecodeError`` is a ValueError).
+
+def _checked_payload(blob: bytes, digest: str) -> memoryview:
+    """A zero-copy view of the pickled payload, after checking the header.
+
+    The check parses no JSON. The header line must start
+    ``{"created":<number>,"digest":"<digest>"`` and state the payload's
+    length as its ``size_bytes``: the header's last field, or the one
+    before ``summary``, its only later key. Raises :class:`ValueError`
+    when any of that fails.
     """
     end = blob.find(b"\n")
     if end < 0:
         raise ValueError("entry has no metadata header")
-    meta = json.loads(blob[:end])
-    if not isinstance(meta, dict):
-        raise ValueError("entry header is not a JSON object")
-    return meta, memoryview(blob)[end + 1:]
+    head = _HEADER_START.match(blob, 0, end)
+    if head is None:
+        raise ValueError("entry header is not a store header line")
+    if head.group(1) != digest.encode("ascii"):
+        raise ValueError("entry header names another digest")
+    size = b',"size_bytes":%d' % (len(blob) - end - 1)
+    if not (blob.startswith(size + b"}", end - len(size) - 1)
+            or blob.find(size + b',"summary":', head.end(), end) >= 0):
+        raise ValueError("entry header's size_bytes is not its payload's")
+    return memoryview(blob)[end + 1:]
+
+
+def _parse_header(line: bytes) -> Dict[str, Any]:
+    """The metadata of a blob's first line, or ``{}`` when the blob has
+    no ``\\n`` or the line is not a JSON object."""
+    if not line.endswith(b"\n"):
+        return {}
+    try:
+        meta = json.loads(line)
+    except ValueError:  # UnicodeDecodeError is a ValueError
+        return {}
+    return meta if isinstance(meta, dict) else {}
 
 
 class ArtifactStore:
@@ -182,14 +214,15 @@ class ArtifactStore:
             # unreachable server): treat as a miss, keep the entry.
             return None
         try:
-            return pickle.loads(_split_entry(blob)[1])
+            return pickle.loads(_checked_payload(blob, key.digest))
         except MemoryError:
             return None  # memory pressure: the stored bytes may be fine
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, KeyError, TypeError,
                 ValueError) as exc:
             # The concrete ways a stored blob fails to load: a missing or
-            # garbled header line (ValueError), a truncated or garbled
+            # garbled header line, or one naming another digest or payload
+            # length (ValueError), a truncated or garbled
             # pickle (UnpicklingError/EOFError/IndexError/ValueError/
             # KeyError) and a stale class layout from an older code
             # version (AttributeError/ImportError/TypeError).
@@ -314,7 +347,12 @@ class ArtifactStore:
         return removed
 
     def entries(self, kind: Optional[str] = None) -> Iterator[StoreEntry]:
-        """Iterate over stored entries (newest first within each kind)."""
+        """Iterate over stored entries (newest first within each kind).
+
+        Reads each entry's header line only
+        (:meth:`~repro.runtime.backends.StoreBackend.read_head`): a local
+        store reads no payload, a served one still fetches whole entries.
+        """
         for entry_kind in self.backend.list_kinds():
             if kind is not None and entry_kind != kind:
                 continue
@@ -323,13 +361,10 @@ class ArtifactStore:
             for fname in names:
                 if not fname.endswith(".pkl"):
                     continue
-                blob = self.backend.read(entry_kind, fname)
-                if blob is None:
+                head = self.backend.read_head(entry_kind, fname)
+                if head is None:
                     continue  # deleted concurrently (clear/invalidate race)
-                try:
-                    meta = _split_entry(blob)[0]
-                except ValueError:
-                    meta = {}
+                meta = _parse_header(head[0])
                 created = meta.get("created")
                 if created is None:  # garbled header: fall back to mtime
                     stat = self.backend.stat(entry_kind, fname)
@@ -338,7 +373,7 @@ class ArtifactStore:
                     StoreEntry(
                         kind=entry_kind,
                         digest=fname[: -len(".pkl")],
-                        size_bytes=len(blob),
+                        size_bytes=head[1],
                         created=created,
                         meta=meta,
                     )

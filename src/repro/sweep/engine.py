@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.hardware.energy import EnergyBreakdown
 from repro.runtime import counters
-from repro.runtime.keys import ArtifactKey
+from repro.runtime.keys import ArtifactKey, walk_config
 from repro.runtime.runner import (
     GCoDTask,
     GCoDTaskError,
@@ -49,6 +49,7 @@ from repro.runtime.runner import (
     drain,
     drain_pool,
     failure,
+    pool_width,
     train_or_load,
     warm_tasks,
 )
@@ -171,7 +172,17 @@ class SweepRunReport:
 def plan_sweep(context, spec: SweepSpec) -> SweepPlan:
     """Phase 1: expand the grid, find cached points, dedupe training."""
     points = expand(spec, context)
-    keys = [p.key() for p in points]
+    # expand shares one config object among the points over one
+    # pipeline; walk each once. ``points`` keeps every config alive, so
+    # its id() is stable for this call.
+    walked: Dict[int, Any] = {}
+    configs = []
+    for point in points:
+        config = walked.get(id(point.config))
+        if config is None:
+            config = walked[id(point.config)] = walk_config(point.config)
+        configs.append(config)
+    keys = [point.key(config) for point, config in zip(points, configs)]
     store: Optional[ArtifactStore] = context.store
     cached = [
         i for i, key in enumerate(keys)
@@ -187,7 +198,8 @@ def plan_sweep(context, spec: SweepSpec) -> SweepPlan:
             # every node of a workload-DAG point is a dependency; the
             # primary node's task digests identically to the legacy
             # single-model task, so mixed grids share training runs.
-            deps.setdefault(task.key().digest, task)
+            # Every node trains under the point's config.
+            deps.setdefault(task.key(configs[i]).digest, task)
     tasks = [
         task for digest, task in deps.items()
         if store is None or not store.contains(task.key())
@@ -523,7 +535,7 @@ def execute_sweep(
         # The ledger resume reads: written before any evaluation, so even
         # a sweep killed at point 1 of N leaves its plan behind.
         manifest = begin_manifest(
-            store, context, plan.spec, plan.points, plan.keys
+            store, context, plan.spec, plan.points, plan.keys, cached_set
         )
         # What the store now holds; the finally below writes only if the
         # sweep changed it (refresh rebinds ``done`` and derives
@@ -533,7 +545,9 @@ def execute_sweep(
     if work_ledger is not None and jobs > 1:
         say(f"shared work ledger active: jobs={jobs} applies per "
             "worker fleet, training through claims")
-    if work_ledger is not None or (jobs > 1 and store is not None):
+    # pool children hand results back through the store
+    width = pool_width(jobs) if store is not None else 1
+    if work_ledger is not None or width > 1:
         # Every training run lands in the store before any point needs
         # it, or processes sharing a pipeline would race to train it.
         warm_tasks(plan.tasks, context, jobs, progress, claims=work_ledger)
@@ -553,10 +567,10 @@ def execute_sweep(
             report.points_evaluated = drain(
                 items, lambda item: store.contains(item[2]), work,
                 claims=work_ledger)
-        elif jobs > 1 and store is not None and len(items) > 1:
-            say(f"evaluating {len(items)} point(s) with jobs={jobs}")
+        elif width > 1 and len(items) > 1:
+            say(f"evaluating {len(items)} point(s) with jobs={width}")
             report.points_evaluated = drain_pool(
-                items, context, jobs, _PointEvaluator,
+                items, context, width, _PointEvaluator,
                 ((ds, point.seed) for _, point, _ in items.values()
                  for ds in [point.dataset]
                  + [d for d, _ in point.workload_scales]))

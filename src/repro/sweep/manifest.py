@@ -121,23 +121,27 @@ def write_manifest(
 
 
 def begin_manifest(
-    store: ArtifactStore, context, spec: SweepSpec, points, keys
+    store: ArtifactStore, context, spec: SweepSpec, points, keys, cached
 ) -> SweepManifest:
     """Open (or re-open) the manifest for a sweep that is about to execute.
 
-    ``done`` starts as whatever the store already holds, so an interrupted
-    sweep's second run — with or without ``--resume`` — begins from an
-    accurate ledger. When the store already holds an equal manifest (a
-    re-run of a finished sweep), nothing is written.
+    ``done`` starts as the planned points the store already holds — the
+    set of grid indices ``cached``, which the plan has just checked — so
+    an interrupted sweep's second run, with or without ``--resume``,
+    begins from an accurate ledger without asking the store again. When
+    the store already holds an equal manifest (a re-run of a finished
+    sweep), nothing is written.
     """
+    planned = [key.digest for key in keys]
     manifest = SweepManifest(
         sweep=spec.name,
         title=spec.title,
         axes=spec.axes,
-        planned=[key.digest for key in keys],
+        planned=planned,
         labels=[point.label() for point in points],
+        done=[digest for i, digest in enumerate(planned) if i in cached],
+        complete=len(cached) == len(planned),
     )
-    manifest.refresh(store)
     # contains() first, so a cold sweep, which has no manifest yet, makes
     # no extra get.
     if store.contains(manifest_key(context, spec)) and \

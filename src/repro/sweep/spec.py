@@ -211,7 +211,11 @@ class SweepPoint:
     #: of *all* node graphs, not just the primary's.
     workload_scales: Tuple[Tuple[str, Optional[float]], ...] = ()
 
-    def key(self) -> ArtifactKey:
+    def key(self, walked_config: Any = None) -> ArtifactKey:
+        """The point's store key; ``walked_config`` is
+        :func:`~repro.runtime.keys.walk_config` of ``self.config``, when
+        the caller already has it (a planner keying many points over one
+        config)."""
         return sweep_point_key(
             self.dataset,
             self.scale,
@@ -226,6 +230,7 @@ class SweepPoint:
             dict(self.axes),
             workload=self.workload,
             workload_scales=self.workload_scales,
+            walked_config=walked_config,
         )
 
     def gcod_task(self) -> GCoDTask:
@@ -316,8 +321,16 @@ def parse_grid(text: str) -> Dict[str, Tuple[Any, ...]]:
     return axes
 
 
+#: The axes a point's training config is resolved from (besides ``arch``).
+_CONFIG_AXES = ("C", "S", "sparsity", "seed", "kernel_backend")
+
+
 def _point_config(context, arch: str, coords: Mapping[str, Any]):
-    """Resolve the grid coordinates into a concrete GCoDConfig."""
+    """Resolve the grid coordinates into a concrete GCoDConfig.
+
+    Reads ``arch`` and the :data:`_CONFIG_AXES` coordinates only, which
+    is what lets :func:`expand` resolve each distinct config once.
+    """
     from repro.sparse.kernels import get_backend
 
     config = context.gcod_config_for(arch)
@@ -380,14 +393,21 @@ def expand(spec: SweepSpec, context) -> List[SweepPoint]:
                     )
 
     names = spec.axis_names
+    # Normalize case so "Cora"/"cora" share cache keys (load_dataset
+    # lowercases anyway: same numerics, so they must be the same run).
+    grid = [
+        tuple(str(v).lower() for v in values)
+        if name in ("dataset", "arch") else values
+        for name, values in spec.axes
+    ]
+    # One config per distinct arch and config-axis coordinates: points
+    # over one pipeline share one GCoDConfig object, which nothing
+    # mutates. repr keeps -0.0 apart from 0.0: equal floats, different
+    # key payloads.
+    config_at = [i for i, name in enumerate(names) if name in _CONFIG_AXES]
+    configs: Dict[Tuple[str, ...], Tuple[Any, str]] = {}
     points = []
-    for combo in itertools.product(*(values for _, values in spec.axes)):
-        # Normalize case so "Cora"/"cora" share cache keys (load_dataset
-        # lowercases anyway: same numerics, so they must be the same run).
-        combo = tuple(
-            str(v).lower() if name in ("dataset", "arch") else v
-            for name, v in zip(names, combo)
-        )
+    for combo in itertools.product(*grid):
         coords = dict(zip(names, combo))
         workload = coords.get("workload")
         workload_scales: Tuple[Tuple[str, Optional[float]], ...] = ()
@@ -406,7 +426,10 @@ def expand(spec: SweepSpec, context) -> List[SweepPoint]:
         else:
             dataset = coords.get("dataset", "cora")
             arch = coords.get("arch", "gcn")
-        config, backend = _point_config(context, arch, coords)
+        resolved = (arch,) + tuple([repr(combo[i]) for i in config_at])
+        if resolved not in configs:
+            configs[resolved] = _point_config(context, arch, coords)
+        config, backend = configs[resolved]
         points.append(
             SweepPoint(
                 dataset=dataset,

@@ -67,3 +67,16 @@ def gcod_result(small_graph, fast_config):
 def rng() -> np.random.Generator:
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def pool_on_any_host(monkeypatch):
+    """Let ``jobs=N`` fork N pool children on a host with fewer CPUs.
+
+    The runtime caps a pool at the CPUs this process may use; tests that
+    check pool behaviour (parity, failures) need real children even on a
+    1-CPU runner.
+    """
+    import repro.runtime.runner as runner
+
+    monkeypatch.setattr(runner, "effective_cpu_count", lambda: 64)

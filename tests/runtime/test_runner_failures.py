@@ -28,10 +28,13 @@ MICRO_SCALES = {"cora": 0.06, "citeseer": 0.05, "pubmed": 0.012}
 #: fig04 depends on all three citation graphs — three pool tasks.
 NAMES = ["fig04"]
 
-pytestmark = pytest.mark.skipif(
-    not sys.platform.startswith("linux"),
-    reason="failure injection relies on fork inheriting the monkeypatch",
-)
+pytestmark = [
+    pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="failure injection relies on fork inheriting the monkeypatch",
+    ),
+    pytest.mark.usefixtures("pool_on_any_host"),
+]
 
 
 def micro_ctx(store=None):

@@ -273,6 +273,122 @@ def test_garbled_entry_reads_as_a_miss_and_is_dropped(tmp_path, capsys,
     assert not store.contains(key)
 
 
+def _rewrite_header(store, key, edit):
+    """Replace ``key``'s header line with ``edit(meta)``, canonically."""
+    path = store._entry_path(key)
+    with open(path, "rb") as fh:
+        header, payload = fh.read().split(b"\n", 1)
+    meta = edit(json.loads(header))
+    with open(path, "wb") as fh:
+        fh.write(rkeys.dumps_canonical(meta).encode() + b"\n" + payload)
+
+
+def test_header_naming_another_digest_reads_as_a_miss(tmp_path, capsys):
+    store = ArtifactStore(str(tmp_path))
+    key, other = _gcod_key(), _gcod_key(seed=1)
+    store.put(key, {"fine": True}, summary={"dataset": "cora"})
+    # the entry's bytes are intact, but under another digest's name
+    os.replace(store._entry_path(key), store._entry_path(other))
+    assert store.get(other) is None
+    assert "names another digest" in capsys.readouterr().err
+    assert not store.contains(other)
+
+
+@pytest.mark.parametrize("summary", [None, {"dataset": "cora"}],
+                         ids=["no-summary", "summary"])
+def test_payload_shorter_than_size_bytes_reads_as_a_miss(tmp_path, capsys,
+                                                          summary):
+    store = ArtifactStore(str(tmp_path))
+    key = _gcod_key()
+    store.put(key, {"fine": True}, summary=summary)
+
+    def grow(meta):
+        meta["size_bytes"] += 1  # the pickle itself still loads
+        return meta
+
+    _rewrite_header(store, key, grow)
+    assert store.get(key) is None
+    assert "size_bytes" in capsys.readouterr().err
+    assert not store.contains(key)
+
+
+@pytest.mark.parametrize("summary", [None, {"dataset": "cora"}],
+                         ids=["no-summary", "summary"])
+def test_entry_with_a_float_created_still_reads(tmp_path, summary):
+    """Entries written while ``created`` was a float read as before."""
+    store = ArtifactStore(str(tmp_path))
+    key = _gcod_key()
+    store.put(key, {"fine": True}, summary=summary)
+
+    def floating(meta):
+        meta["created"] = 1712345678.0123457
+        return meta
+
+    _rewrite_header(store, key, floating)
+    assert store.get(key) == {"fine": True}
+    [entry] = store.entries()
+    assert entry.created == 1712345678.0123457
+
+
+def test_listing_a_local_store_reads_only_headers(tmp_path, monkeypatch):
+    """``entries`` reads each local entry's header line, not its payload:
+    at most one read chunk past the header, however large the entry."""
+    import repro.runtime.backends as backends
+
+    class SpyBackend(backends.LocalDirBackend):
+        def read(self, kind, name):
+            raise AssertionError(f"full read of {kind}/{name}")
+
+    big = _gcod_key()
+    store = ArtifactStore(str(tmp_path))
+    store.put(big, {"weights": b"\x01" * (8 << 20)},
+              summary={"dataset": "cora"})
+    store.put(rkeys.graph_key("cora", 0.1, 0), "small")
+    with open(store._entry_path(big), "rb") as fh:
+        header = fh.readline()
+
+    read = {}
+
+    class CountingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self, n=-1):
+            data = self.fh.read(n)
+            read[self.fh.name] = read.get(self.fh.name, 0) + len(data)
+            return data
+
+    monkeypatch.setattr(backends, "open",
+                        lambda *a, **k: CountingFile(open(*a, **k)),
+                        raising=False)
+    path = store._entry_path(big)
+    spied = ArtifactStore(SpyBackend(str(tmp_path)))
+    entries = {e.kind: e for e in spied.entries()}
+    listed = read.pop(path)
+    stats = spied.stats()
+    counted = read.pop(path)
+    monkeypatch.undo()
+
+    size = os.path.getsize(path)
+    assert size > 8 << 20
+    assert entries["gcod"].size_bytes == size
+    assert entries["gcod"].meta["summary"] == {"dataset": "cora"}
+    assert entries["graph"].meta["key"]["dataset"] == "cora"
+    assert stats["gcod"]["bytes"] == size
+    assert stats["total"]["entries"] == 2
+    for got in (listed, counted):
+        assert len(header) < got <= len(header) + backends.HEAD_CHUNK
+
+
 def test_entry_is_header_line_then_pickle(tmp_path):
     store = ArtifactStore(str(tmp_path))
     key = _gcod_key()

@@ -52,7 +52,8 @@ def _ledger_worker(url, barrier, queue):
                sweep_report_text(SPEC, report.results)))
 
 
-def test_serial_pool_and_ledger_drain_to_identical_bytes(tmp_path):
+def test_serial_pool_and_ledger_drain_to_identical_bytes(tmp_path,
+                                                        pool_on_any_host):
     serial = run_sweep(micro_ctx(ArtifactStore(str(tmp_path / "serial"))),
                        SPEC, jobs=1)
     text = sweep_report_text(SPEC, serial.results)
@@ -117,3 +118,39 @@ def test_serial_sweep_makes_no_claims_and_no_extra_contains(tmp_path,
     # one membership check per planned point and task, one for the
     # manifest: the drain itself asks the store nothing
     assert sorted(contains_calls) == sorted(expected)
+
+
+def test_pool_width_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
+    """``jobs`` beyond the CPUs forks no more children than there are
+    CPUs, the progress line names the width used, and on one CPU the
+    points evaluate in this process."""
+    import repro.runtime.runner as runner
+
+    real_pool_context = runner.pool_context
+    widths = []
+
+    class RecordingContext:
+        def Pool(self, processes):
+            widths.append(processes)
+            return real_pool_context().Pool(processes=processes)
+
+    monkeypatch.setattr(runner, "pool_context", RecordingContext)
+    texts = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(runner, "effective_cpu_count", lambda: cpus)
+        assert runner.pool_width(4) == cpus
+        said = []
+        report = run_sweep(
+            micro_ctx(ArtifactStore(str(tmp_path / f"cpus{cpus}"))),
+            SPEC, jobs=4, progress=said.append)
+        assert report.points_evaluated == 4
+        texts.append(sweep_report_text(SPEC, report.results))
+        pooled = [m for m in said if m.startswith("evaluating")]
+        if cpus > 1:
+            assert pooled == ["evaluating 4 point(s) with jobs=2"]
+        else:
+            assert pooled == []
+    # one training pool and one point pool, both two wide; none on 1 CPU
+    assert widths == [2, 2]
+    assert texts[0] == texts[1]
+    assert runner.pool_width(0) == 1
