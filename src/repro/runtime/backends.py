@@ -138,16 +138,20 @@ class LocalDirBackend(StoreBackend):
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
         self.locator = self.root
+        #: ``root`` with one trailing separator: kinds and names are
+        #: plain components, so :meth:`path` can concatenate.
+        self._prefix = os.path.join(self.root, "")
 
     def path(self, kind: str, name: str) -> str:
-        return os.path.join(self.root, kind, name)
+        return self._prefix + kind + os.sep + name
 
     def _dir(self, kind: str) -> str:
         return os.path.join(self.root, kind)
 
     def read(self, kind: str, name: str) -> Optional[bytes]:
         try:
-            with open(self.path(kind, name), "rb") as fh:
+            # unbuffered: the whole file in one read, no buffer object
+            with open(self.path(kind, name), "rb", buffering=0) as fh:
                 return fh.read()
         except (OSError, MemoryError):
             # Miss, or a transient failure (EIO, fd exhaustion,

@@ -134,7 +134,8 @@ KEY_FIELD_COVERAGE = {
 
 #: Types :func:`jsonable` returns unchanged. Exact types only: a subclass
 #: (``np.float64`` is a ``float``, an ``IntEnum`` an ``int``) takes the
-#: general path below.
+#: general path below. Containers test their items against it inline,
+#: so a key's primitive components cost no call.
 _PRIMITIVES = frozenset((str, int, float, bool, type(None)))
 
 
@@ -154,9 +155,10 @@ def jsonable(obj: Any) -> Any:
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(cls)}
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _PRIMITIVES else jsonable(v)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [v if type(v) in _PRIMITIVES else jsonable(v) for v in obj]
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         # numpy scalar: unwrap to the native Python number. Real arrays
         # (ndim > 0) are rejected below — silently unwrapping a size-1
