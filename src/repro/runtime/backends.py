@@ -17,6 +17,8 @@ Backend rules (what the store relies on):
 
 * ``read`` never raises: a miss, a timeout, a half-served response, and a
   dead server all return ``None`` — the caller recomputes;
+  ``read_head`` (a blob's first line and size, for listings) reads the
+  same way, and only a prefix where the backend can;
 * ``write`` is atomic (a killed writer leaves no partial blob under a
   valid name) and raises :class:`StoreBackendError` on environmental
   failure so the store can degrade with its "continuing without caching"
