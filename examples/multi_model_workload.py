@@ -1,24 +1,21 @@
 #!/usr/bin/env python
 """Workload DAGs in library form: multi-tenant and pipelined evaluation.
 
-Parses the shorthand grammar, round-trips the JSON form, runs a shared
-GCN+GAT workload and a pipelined layer split through the staged
-extract -> map -> cost pipeline, and shows a custom stage plugging into
-the registry. Training runs at a small scale; the structural facts
-(PE splits, contention merge) are scale-independent.
+Parses the shorthand grammar, round-trips the JSON form, and costs a
+shared GCN+GAT workload and a pipelined layer split: each node's workload
+is extracted, mapped onto its slice of the shared PE array and costed,
+and the reports merge with contention accounting. Training runs at a
+small scale; the structural facts (PE splits, contention merge) are
+scale-independent.
 """
 
 import json
 
 from repro.evaluation import EvalContext
 from repro.hardware.pipeline import (
-    NodeEvaluation,
     PipelineSettings,
-    Stage,
     evaluate_workload,
     parse_workload,
-    register_stage,
-    stage_names,
     workload_from_json,
 )
 from repro.utils import format_table
@@ -58,25 +55,6 @@ def main() -> None:
     payload = shared.to_jsonable()
     assert workload_from_json(payload) == shared
     print("\nJSON form:\n" + json.dumps(payload, indent=2))
-
-    # --- a custom stage in the registry --------------------------------
-    class TraceStage(Stage):
-        name = "trace"
-
-        def run(self, state: NodeEvaluation, settings, context) -> None:
-            wl = state.workload
-            print(f"  trace: {state.node.name} -> {len(wl.layers)} "
-                  f"layer(s) on {state.pes.num_pes} PEs")
-
-    try:
-        register_stage(TraceStage())
-    except ValueError:
-        pass  # already registered on a re-run in the same process
-    print("\nstages:", ", ".join(stage_names()))
-    evaluate_workload(
-        shared, context,
-        PipelineSettings(stages=("extract", "trace", "map", "cost")),
-    )
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Rule ``registry-sync``: registries and CLI surfaces cannot drift.
 
-Five drift classes this catches, all of which have bitten registries
+Four drift classes this catches, all of which have bitten registries
 like this one before:
 
 * an experiment module under ``evaluation/experiments/`` that never
@@ -18,11 +18,7 @@ like this one before:
   on a ``*Backend`` subclass) that the kernels package never passes to
   ``register_backend(Cls())``. Such a backend imports fine but can never
   be requested: ``backend_choices()`` (and with it every CLI surface)
-  omits it;
-* a pipeline-stage class in ``hardware/pipeline.py`` (a concrete
-  ``name`` on a ``*Stage`` subclass) that the module never passes to
-  ``register_stage()`` — ``get_stage()`` would raise on the name every
-  ``PipelineSettings.stages`` chain mentions it with.
+  omits it.
 """
 
 from __future__ import annotations
@@ -45,9 +41,6 @@ KERNELS_DIR = "sparse/kernels/"
 KERNELS_INIT = "sparse/kernels/__init__.py"
 REGISTER_BACKEND_CALL = "register_backend"
 
-PIPELINE_MODULE = "hardware/pipeline.py"
-REGISTER_STAGE_CALL = "register_stage"
-
 #: CLI arguments whose choices mirror a registry and must stay dynamic.
 DYNAMIC_CHOICE_FLAGS = {
     "--kernel-backend": "the kernel registry "
@@ -69,7 +62,6 @@ class RegistrySyncRule(Rule):
         yield from self._check_experiments_init(ctx)
         yield from self._check_cli_choices(ctx)
         yield from self._check_kernel_backends(ctx)
-        yield from self._check_pipeline_stages(ctx)
 
     # ------------------------------------------------------------------
     def _experiment_modules(self, ctx: LintContext):
@@ -186,60 +178,6 @@ class RegistrySyncRule(Rule):
                 ),
                 hint=f"call {REGISTER_BACKEND_CALL}({cls.name}()) in "
                      f"{KERNELS_INIT}",
-            )
-
-    def _check_pipeline_stages(self, ctx: LintContext):
-        """Every concrete ``*Stage`` class must be register_stage()-ed.
-
-        Mirrors the kernel-backend check, except stages register in the
-        module that defines them: a ``class XStage(Stage)`` with a
-        class-level ``name = "<literal>"`` other than the ABC's
-        ``"stage"`` placeholder needs a ``register_stage(XStage())``
-        call somewhere in the same file.
-        """
-        src = ctx.get(PIPELINE_MODULE)
-        if src is None:
-            return  # partial tree
-        registered = set()
-        for node in ast.walk(src.tree):
-            if (isinstance(node, ast.Call)
-                    and dotted_name(node.func).split(".")[-1]
-                    == REGISTER_STAGE_CALL
-                    and node.args
-                    and isinstance(node.args[0], ast.Call)):
-                registered.add(
-                    dotted_name(node.args[0].func).split(".")[-1]
-                )
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(dotted_name(b).split(".")[-1].endswith("Stage")
-                       for b in node.bases):
-                continue
-            stage_name = None
-            for stmt in node.body:
-                if (isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and stmt.targets[0].id == "name"
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)):
-                    stage_name = stmt.value.value
-            if stage_name is None or stage_name == "stage":
-                continue  # the ABC's placeholder, or an abstract subclass
-            if node.name in registered:
-                continue
-            yield Finding(
-                rule=self.id,
-                path=src.rel,
-                line=node.lineno,
-                message=(
-                    f"stage class {node.name!r} (name={stage_name!r}) "
-                    f"is never registered — get_stage({stage_name!r}) "
-                    f"raises for every stage chain naming it"
-                ),
-                hint=f"call {REGISTER_STAGE_CALL}({node.name}()) at "
-                     f"module level in {PIPELINE_MODULE}",
             )
 
     def _check_cli_choices(self, ctx: LintContext):

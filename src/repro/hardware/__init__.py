@@ -58,16 +58,12 @@ from repro.hardware.accelerators import (
 )
 from repro.hardware.pipeline import (
     PipelineSettings,
-    Stage,
     WorkloadGraph,
     WorkloadGraphReport,
     WorkloadNode,
     evaluate_workload,
-    get_stage,
     parse_workload,
-    register_stage,
     slice_workload,
-    stage_names,
     workload_from_json,
 )
 
@@ -112,15 +108,11 @@ __all__ = [
     "all_platforms",
     "system_configurations",
     "PipelineSettings",
-    "Stage",
     "WorkloadGraph",
     "WorkloadGraphReport",
     "WorkloadNode",
     "evaluate_workload",
-    "get_stage",
     "parse_workload",
-    "register_stage",
     "slice_workload",
-    "stage_names",
     "workload_from_json",
 ]

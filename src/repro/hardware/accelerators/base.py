@@ -71,11 +71,6 @@ class AcceleratorReport:
         """Off-chip bandwidth needed to sustain this latency (Fig. 11a)."""
         return self.streamed_bytes / max(self.latency_s, 1e-30) / 1e9
 
-    @property
-    def avg_bandwidth_gbps(self) -> float:
-        """Average off-chip bandwidth over the inference (all traffic)."""
-        return self.offchip_bytes / max(self.latency_s, 1e-30) / 1e9
-
     def speedup_over(self, other: "AcceleratorReport") -> float:
         """Latency ratio other/self (how much faster this platform is)."""
         return other.latency_s / max(self.latency_s, 1e-30)

@@ -43,9 +43,19 @@ from repro.hardware.workload import GCNWorkload, LayerSpec
 
 
 #: Tab. V PE counts per precision: quantization cuts the bandwidth per
-#: MAC, affording 2.5x the PEs. The single source of truth — the sweep
-#: engine's ``hw_scale`` axis multiplies these same numbers.
+#: MAC, affording 2.5x the PEs.
 DEFAULT_PES = {32: 4096, 8: 10240}
+
+#: The GCoD clock (Tab. V), the same for every variant.
+GCOD_CLOCK_HZ = 330e6
+
+
+def gcod_pe_count(bits: int, hw_scale: float = 1.0) -> int:
+    """PEs of the GCoD variant at ``bits``: Tab. V's count times the
+    sweep's ``hw_scale`` multiplier, at least one. The workload-DAG
+    evaluator's shared array and the sweep's platform variant both read
+    it."""
+    return max(1, int(round(DEFAULT_PES[bits] * hw_scale)))
 
 
 class GCoDAccelerator(Accelerator):
@@ -84,7 +94,7 @@ class GCoDAccelerator(Accelerator):
         self.two_pronged = two_pronged
         self.bits = bits
         self.bytes_per_value = 1 if bits == 8 else 4
-        self.pes = PEArray(num_pes or DEFAULT_PES[bits], 330e6)
+        self.pes = PEArray(num_pes or DEFAULT_PES[bits], GCOD_CLOCK_HZ)
         self.memory = OffChipMemory("hbm", 460.0)
         onchip_total = 42 * 2**20
         # Fixed split of the 42 MB: output accumulators, feature/weight

@@ -1,16 +1,17 @@
-"""Staged workload-DAG evaluation: multi-model, shared-accelerator costing.
+"""Workload-DAG evaluation: multi-model, shared-accelerator costing.
 
 The single-model path (``extract_workload`` -> ``GCoDAccelerator.run``)
-hard-codes one model on one accelerator. This module generalizes it, in
-the style of ZigZag's composable mapping stages, to a declarative
-**workload DAG**:
+hard-codes one model on one accelerator. This module generalizes it to a
+declarative **workload DAG**:
 
 * a :class:`WorkloadGraph` of named :class:`WorkloadNode`\\ s — each a
   (dataset, arch, layer-range) with optional per-node kernel-backend and
   PE-allocation (``share``) choices, plus ``after`` dependencies;
-* a staged evaluator — ``extract`` -> ``map`` -> ``cost``, each a
-  pluggable :class:`Stage` registry entry — that iterates nodes through
-  the existing analytic models;
+* an evaluator that takes each node through three fixed steps — extract
+  its workload (the only pluggable one, through
+  ``PipelineSettings.extract_fn``), map it onto its PE slice as a
+  :class:`~repro.hardware.accelerators.gcod.GCoDAccelerator`, and cost it
+  with the existing analytic model;
 * a merge step with shared-accelerator contention accounting: nodes of a
   concurrent level time-slice one PE array
   (:meth:`~repro.hardware.pe.PEArray.allocate`), a level's latency is the
@@ -38,18 +39,20 @@ form (see :func:`workload_from_json`) expresses arbitrary DAGs.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, did_you_mean
 from repro.hardware.accelerators.base import AcceleratorReport, PhaseStats
+from repro.hardware.accelerators.gcod import (
+    DEFAULT_PES,
+    GCOD_CLOCK_HZ,
+    GCoDAccelerator,
+    gcod_pe_count,
+)
 from repro.hardware.budget import DEFAULT_TECH_NODE_NM
 from repro.hardware.pe import PEArray
 from repro.hardware.workload import GCNWorkload
-
-#: The GCoD clock (Tab. V); the shared array is sliced at this rate.
-GCOD_CLOCK_HZ = 330e6
 
 
 # ----------------------------------------------------------------------
@@ -380,147 +383,31 @@ def slice_workload(workload: GCNWorkload,
 
 
 # ----------------------------------------------------------------------
-# the staged evaluator
+# evaluation + merge
 # ----------------------------------------------------------------------
 @dataclass
 class PipelineSettings:
-    """Knobs the staged evaluator runs under (platform variant, stages)."""
+    """The GCoD variant a workload DAG is costed on, and its extraction."""
 
     bits: int = 32
     hw_scale: float = 1.0
     tech_node: int = DEFAULT_TECH_NODE_NM
-    stages: Tuple[str, ...] = ("extract", "map", "cost")
-    #: GCoD pipeline stage the default extraction reads
-    #: (``partitioned``/``tuned``/``final``).
-    gcod_stage: str = "final"
     #: override the extraction source: ``(node, context) -> GCNWorkload``
-    #: returning the *full-model* workload (the extract stage applies the
+    #: returning the *full-model* workload (the evaluator applies the
     #: node's layer range). The sweep engine injects its own store-backed
     #: extraction here.
     extract_fn: Optional[Callable[[WorkloadNode, Any], GCNWorkload]] = None
 
 
-@dataclass
-class NodeEvaluation:
-    """Mutable per-node state threaded through the stage chain."""
-
-    node: WorkloadNode
-    #: the slice of the shared PE array allocated to this node.
-    pes: PEArray
-    workload: Optional[GCNWorkload] = None
-    platform: Optional[Any] = None
-    report: Optional[AcceleratorReport] = None
+def _trained_workload(node: WorkloadNode, context) -> GCNWorkload:
+    """The node's full-model workload from ``context``'s GCoD pipeline."""
+    if node.kernel_backend is not None:
+        # Shares the memo dicts deliberately (keys include the backend),
+        # exactly like the serve path's resolution.
+        context = replace(context, kernel_backend=node.kernel_backend)
+    return context.gcod_workload(node.dataset, node.arch)
 
 
-class Stage(ABC):
-    """One pluggable step of the per-node evaluation chain."""
-
-    name: str = "stage"
-
-    @abstractmethod
-    def run(self, state: NodeEvaluation, settings: PipelineSettings,
-            context) -> None:
-        """Advance ``state`` (fill in workload/platform/report fields)."""
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"
-
-
-class ExtractStage(Stage):
-    """Extract the node's (GCoD-trained, paper-scale) workload."""
-
-    name = "extract"
-
-    def run(self, state, settings, context) -> None:
-        node = state.node
-        if settings.extract_fn is not None:
-            full = settings.extract_fn(node, context)
-        else:
-            ctx = context
-            if node.kernel_backend is not None:
-                # Shares the memo dicts deliberately (keys include the
-                # backend), exactly like the serve path's resolution.
-                ctx = replace(context, kernel_backend=node.kernel_backend)
-            full = ctx.gcod_workload(
-                node.dataset, node.arch, stage=settings.gcod_stage
-            )
-        state.workload = slice_workload(full, node)
-
-
-class MapStage(Stage):
-    """Map the node onto its PE slice: build the platform model."""
-
-    name = "map"
-
-    def run(self, state, settings, context) -> None:
-        from repro.hardware.accelerators.gcod import GCoDAccelerator
-
-        state.platform = GCoDAccelerator(
-            bits=settings.bits,
-            num_pes=state.pes.num_pes,
-            tech_node=settings.tech_node,
-        )
-
-
-class CostStage(Stage):
-    """Cost the mapped workload: run the analytic model."""
-
-    name = "cost"
-
-    def run(self, state, settings, context) -> None:
-        if state.workload is None or state.platform is None:
-            raise ConfigError(
-                f"stage 'cost' needs 'extract' and 'map' to have run "
-                f"first (stage chain: {settings.stages!r})"
-            )
-        state.report = state.platform.run(state.workload)
-
-
-#: The stage registry: name -> instance (mirrors the kernel-backend
-#: registry; `repro lint`'s registry-sync rule checks every concrete
-#: stage class here is registered).
-_STAGES: Dict[str, Stage] = {}
-
-
-def register_stage(stage: Stage) -> Stage:
-    """Register a stage instance under its ``name``; returns it."""
-    if stage.name in _STAGES:
-        raise ValueError(
-            f"stage {stage.name!r} is already registered "
-            f"(by {type(_STAGES[stage.name]).__name__})"
-        )
-    _STAGES[stage.name] = stage
-    return stage
-
-
-def get_stage(name: str) -> Stage:
-    """Look up a registered stage; unknown names raise with a suggestion."""
-    if name in _STAGES:
-        return _STAGES[name]
-    close = did_you_mean(name, _STAGES)
-    suggestion = f" (did you mean {close!r}?)" if close else ""
-    raise ConfigError(
-        f"unknown pipeline stage {name!r}{suggestion}; choose from "
-        f"{', '.join(_STAGES)}"
-    )
-
-
-def stage_names() -> Tuple[str, ...]:
-    """All registered stage names, in registration order."""
-    return tuple(_STAGES)
-
-
-register_stage(ExtractStage())
-register_stage(MapStage())
-register_stage(CostStage())
-
-#: The canonical chain (and PipelineSettings' default).
-DEFAULT_STAGES: Tuple[str, ...] = ("extract", "map", "cost")
-
-
-# ----------------------------------------------------------------------
-# evaluation + merge
-# ----------------------------------------------------------------------
 @dataclass
 class WorkloadGraphReport:
     """A multi-model report: per-node costs + contention-merged totals."""
@@ -584,17 +471,13 @@ class WorkloadGraphReport:
 
 def full_pe_array(settings: PipelineSettings) -> PEArray:
     """The shared array the DAG's levels slice (Tab. V x ``hw_scale``)."""
-    from repro.hardware.accelerators.gcod import DEFAULT_PES
-
     if settings.bits not in DEFAULT_PES:
         raise ConfigError(
             f"workload evaluation supports bits in "
             f"{sorted(DEFAULT_PES)}, got {settings.bits!r}"
         )
-    num = DEFAULT_PES[settings.bits]
-    if settings.hw_scale != 1.0:
-        num = max(1, int(round(num * settings.hw_scale)))
-    return PEArray(num, GCOD_CLOCK_HZ)
+    return PEArray(gcod_pe_count(settings.bits, settings.hw_scale),
+                   GCOD_CLOCK_HZ)
 
 
 def evaluate_workload(
@@ -602,15 +485,18 @@ def evaluate_workload(
     context,
     settings: Optional[PipelineSettings] = None,
 ) -> WorkloadGraphReport:
-    """Run every node through the stage chain and merge the reports.
+    """Extract, map and cost every node, then merge the reports.
 
-    Nodes of one topological level run concurrently on slices of the
-    shared PE array (``share`` fractions, normalized by
-    :meth:`PEArray.allocate`); the level's latency is the slowest node's.
+    Each node's workload comes from ``settings.extract_fn`` (default: the
+    context's GCoD pipeline), cut to its layer range, and is costed on a
+    :class:`GCoDAccelerator` of its PE slice. Nodes of one topological
+    level run concurrently on slices of the shared PE array (``share``
+    fractions, normalized by :meth:`PEArray.allocate`); the level's
+    latency is the slowest node's.
     Sequential levels sum. Traffic and energy add across all nodes.
     """
     settings = settings or PipelineSettings()
-    stages = [get_stage(name) for name in settings.stages]
+    extract = settings.extract_fn or _trained_workload
     full = full_pe_array(settings)
     levels = graph.levels()
 
@@ -626,20 +512,19 @@ def evaluate_workload(
         slices = full.allocate(shares)
         level_latency = 0.0
         for node, pes in zip(level, slices):
-            state = NodeEvaluation(node=node, pes=pes)
-            for stage in stages:
-                stage.run(state, settings, context)
-            if state.report is None:
-                raise ConfigError(
-                    f"stage chain {settings.stages!r} produced no report "
-                    f"for node {node.name!r} ('cost' must run last)"
-                )
-            node_reports.append((node.name, state.report))
+            workload = slice_workload(extract(node, context), node)
+            platform = GCoDAccelerator(
+                bits=settings.bits,
+                num_pes=pes.num_pes,
+                tech_node=settings.tech_node,
+            )
+            report = platform.run(workload)
+            node_reports.append((node.name, report))
             node_pes.append((node.name, pes.num_pes))
             notes[f"pes[{node.name}]"] = float(pes.num_pes)
-            comb = comb + state.report.combination
-            agg = agg + state.report.aggregation
-            level_latency = max(level_latency, state.report.latency_s)
+            comb = comb + report.combination
+            agg = agg + report.aggregation
+            level_latency = max(level_latency, report.latency_s)
         latency += level_latency
 
     return WorkloadGraphReport(
@@ -655,23 +540,13 @@ def evaluate_workload(
 
 
 __all__ = [
-    "GCOD_CLOCK_HZ",
-    "DEFAULT_STAGES",
-    "CostStage",
-    "ExtractStage",
-    "MapStage",
-    "NodeEvaluation",
     "PipelineSettings",
-    "Stage",
     "WorkloadGraph",
     "WorkloadGraphReport",
     "WorkloadNode",
     "evaluate_workload",
     "full_pe_array",
-    "get_stage",
     "parse_workload",
-    "register_stage",
     "slice_workload",
-    "stage_names",
     "workload_from_json",
 ]

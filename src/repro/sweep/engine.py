@@ -282,14 +282,14 @@ class _PointEvaluator:
         """The GCoD accelerator variant for (bits, hw_scale, tech_node)."""
         key = (bits, hw_scale, tech_node)
         if key not in self._platforms:
-            from repro.hardware.accelerators import GCoDAccelerator
-            from repro.hardware.accelerators.gcod import DEFAULT_PES
+            from repro.hardware.accelerators.gcod import (
+                GCoDAccelerator,
+                gcod_pe_count,
+            )
 
-            num_pes = None
-            if hw_scale != 1.0:
-                num_pes = max(1, int(round(DEFAULT_PES[bits] * hw_scale)))
             self._platforms[key] = GCoDAccelerator(
-                bits=bits, num_pes=num_pes, tech_node=tech_node
+                bits=bits, num_pes=gcod_pe_count(bits, hw_scale),
+                tech_node=tech_node,
             )
         return self._platforms[key]
 
@@ -369,9 +369,10 @@ class _PointEvaluator:
         one-node DAG ``dataset/arch``, and every reduction below is a
         float identity for one node (``sum([x]) == x``). Per-node
         extraction goes through the store-backed :meth:`_pipeline`
-        records; the staged pipeline merges the node reports with PE
-        time-slicing. Baselines run every distinct (dataset, arch) pair
-        serially on the monolithic AWB-GCN/HyGCN platforms — the
+        records; :func:`~repro.hardware.pipeline.evaluate_workload` merges
+        the node reports with PE time-slicing. Baselines run every
+        distinct (dataset, arch) pair serially on the monolithic
+        AWB-GCN/HyGCN platforms — the
         multi-tenant framing: one shared GCoD accelerator vs a baseline
         running the models back to back.
         """
@@ -593,7 +594,10 @@ def execute_sweep(
                 report.points_evaluated += 1
             report.results.append(result)
     finally:
-        if manifest is not None:
+        # A re-read that took every point from the store leaves the
+        # manifest as begun: complete, and nothing adds to a whole grid.
+        if manifest is not None and \
+                len(report.cache_hits) < len(plan.points):
             # Recompute from store membership: workers may have completed
             # points this process never collected before an interruption.
             manifest.refresh(store)

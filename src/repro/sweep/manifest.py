@@ -59,10 +59,6 @@ class SweepManifest:
             if not store.contains_digest(KIND_SWEEP, digest)
         ]
 
-    def missing_digests(self, store: ArtifactStore) -> List[str]:
-        """Digests of planned points with no stored result (grid order)."""
-        return [self.planned[i] for i in self.missing_indices(store)]
-
     def missing_labels(self, store: ArtifactStore) -> List[str]:
         """Labels of the missing points — what ``--resume`` will evaluate."""
         return [self.labels[i] for i in self.missing_indices(store)]

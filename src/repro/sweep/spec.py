@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import replace
-from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -233,6 +232,12 @@ class SweepPoint:
             walked_config=walked_config,
         )
 
+    # ``_tasks``, the runs behind the two methods below, is set by
+    # :func:`expand` and is not a field: it follows from the fields, and
+    # neither the key nor the stored shape sees it. ``expand`` hands every
+    # point over one pipeline the same task object, so the planner's
+    # dedupe and the evaluator hash each task key once.
+
     def gcod_task(self) -> GCoDTask:
         """The training run this point depends on (pool-schedulable)."""
         return self._tasks[0]
@@ -249,38 +254,6 @@ class SweepPoint:
         shares its stored artifact.
         """
         return list(self._tasks)
-
-    @cached_property
-    def _tasks(self) -> Tuple[GCoDTask, ...]:
-        # Built once per point, so each task's key is hashed once: the
-        # planner's dedupe and the evaluator share it.
-        tasks = [GCoDTask(
-            dataset=self.dataset,
-            arch=self.arch,
-            scale=self.scale,
-            seed=self.seed,
-            profile=self.profile,
-            kernel_backend=self.kernel_backend,
-            config=self.config,
-        )]
-        if self.workload is None:
-            return tuple(tasks)
-        from repro.hardware.pipeline import parse_workload
-
-        scales = dict(self.workload_scales)
-        seen = {(self.dataset, self.arch)}
-        for node in parse_workload(self.workload).nodes:
-            pair = (node.dataset, node.arch)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            tasks.append(replace(
-                tasks[0],
-                dataset=node.dataset,
-                arch=node.arch,
-                scale=scales.get(node.dataset, self.scale),
-            ))
-        return tuple(tasks)
 
     def label(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.axes)
@@ -406,6 +379,26 @@ def expand(spec: SweepSpec, context) -> List[SweepPoint]:
     # key payloads.
     config_at = [i for i, name in enumerate(names) if name in _CONFIG_AXES]
     configs: Dict[Tuple[str, ...], Tuple[Any, str]] = {}
+    # One task per distinct (config, dataset, arch, scale, seed), beside
+    # the config memo that keeps each config object alive.
+    tasks: Dict[Tuple[Any, ...], GCoDTask] = {}
+
+    def task_for(config, backend: str, dataset: str, arch: str,
+                 seed: int) -> GCoDTask:
+        scale = context.scale_for(dataset)
+        memo = (id(config), dataset, arch, scale, seed)
+        if memo not in tasks:
+            tasks[memo] = GCoDTask(
+                dataset=dataset,
+                arch=arch,
+                scale=scale,
+                seed=seed,
+                profile=context.profile,
+                kernel_backend=backend,
+                config=config,
+            )
+        return tasks[memo]
+
     points = []
     for combo in itertools.product(*grid):
         coords = dict(zip(names, combo))
@@ -423,28 +416,33 @@ def expand(spec: SweepSpec, context) -> List[SweepPoint]:
                 (ds, context.scale_for(ds))
                 for ds in {n.dataset for n in nodes}
             ))
+            pairs = list(dict.fromkeys((n.dataset, n.arch) for n in nodes))
         else:
             dataset = coords.get("dataset", "cora")
             arch = coords.get("arch", "gcn")
+            pairs = [(dataset, arch)]
         resolved = (arch,) + tuple([repr(combo[i]) for i in config_at])
         if resolved not in configs:
             configs[resolved] = _point_config(context, arch, coords)
         config, backend = configs[resolved]
-        points.append(
-            SweepPoint(
-                dataset=dataset,
-                arch=arch,
-                scale=context.scale_for(dataset),
-                seed=coords.get("seed", context.seed),
-                profile=context.profile,
-                kernel_backend=backend,
-                config=config,
-                bits=coords.get("bits", 32),
-                hw_scale=float(coords.get("hw_scale", 1.0)),
-                tech_node=coords.get("tech_node", 16),
-                axes=tuple(zip(names, combo)),
-                workload=workload,
-                workload_scales=workload_scales,
-            )
+        seed = coords.get("seed", context.seed)
+        point = SweepPoint(
+            dataset=dataset,
+            arch=arch,
+            scale=context.scale_for(dataset),
+            seed=seed,
+            profile=context.profile,
+            kernel_backend=backend,
+            config=config,
+            bits=coords.get("bits", 32),
+            hw_scale=float(coords.get("hw_scale", 1.0)),
+            tech_node=coords.get("tech_node", 16),
+            axes=tuple(zip(names, combo)),
+            workload=workload,
+            workload_scales=workload_scales,
         )
+        object.__setattr__(point, "_tasks", tuple(
+            task_for(config, backend, ds, a, seed) for ds, a in pairs
+        ))
+        points.append(point)
     return points

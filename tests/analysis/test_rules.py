@@ -275,34 +275,6 @@ def test_unregistered_kernel_backend_is_flagged(scratch_tree):
     assert "register_backend(TurboBackend())" in hits[0].hint
 
 
-def test_unregistered_pipeline_stage_is_flagged(scratch_tree):
-    append_to(
-        scratch_tree / "hardware" / "pipeline.py",
-        "\n\nclass ShadowStage(Stage):\n"
-        '    name = "shadow"\n\n'
-        "    def run(self, state, settings, context):\n"
-        "        pass\n",
-    )
-    hits = findings_for(scratch_tree, "registry-sync")
-    assert len(hits) == 1
-    assert hits[0].path == "hardware/pipeline.py"
-    assert "ShadowStage" in hits[0].message
-    assert "get_stage('shadow')" in hits[0].message
-    assert "register_stage(ShadowStage())" in hits[0].hint
-
-
-def test_registered_extra_stage_satisfies_stage_sync(scratch_tree):
-    append_to(
-        scratch_tree / "hardware" / "pipeline.py",
-        "\n\nclass ShadowStage(Stage):\n"
-        '    name = "shadow"\n\n'
-        "    def run(self, state, settings, context):\n"
-        "        pass\n\n\n"
-        "register_stage(ShadowStage())\n",
-    )
-    assert findings_for(scratch_tree, "registry-sync") == []
-
-
 def test_kind_filter_must_validate(scratch_tree):
     rewrite(
         scratch_tree / "cli.py",

@@ -1,6 +1,6 @@
-"""Workload DAGs: parsing, staging, and the shared-accelerator merge.
+"""Workload DAGs: parsing, evaluation, and the shared-accelerator merge.
 
-The acceptance contract for the staged pipeline: a single-node DAG is
+The acceptance contract for the evaluator: a single-node DAG is
 byte-identical to the legacy single-model path (``allocate([1.0])``
 returns the full array), concurrent nodes time-slice the PE array, and
 sequential phases sum their latencies.
@@ -12,20 +12,19 @@ import pytest
 
 from repro.errors import ConfigError, UnknownDatasetError
 from repro.hardware import extract_workload
-from repro.hardware.accelerators.gcod import DEFAULT_PES, GCoDAccelerator
-from repro.hardware.pipeline import (
+from repro.hardware.accelerators.gcod import (
+    DEFAULT_PES,
     GCOD_CLOCK_HZ,
+    GCoDAccelerator,
+)
+from repro.hardware.pipeline import (
     PipelineSettings,
-    Stage,
     WorkloadGraph,
     WorkloadNode,
     evaluate_workload,
     full_pe_array,
-    get_stage,
     parse_workload,
-    register_stage,
     slice_workload,
-    stage_names,
     workload_from_json,
 )
 from repro.runtime.keys import jsonable
@@ -177,30 +176,6 @@ def test_slice_workload_rejects_out_of_range(partitioned):
 
 
 # ----------------------------------------------------------------------
-# the stage registry
-# ----------------------------------------------------------------------
-def test_default_stages_are_registered():
-    assert set(stage_names()) >= {"extract", "map", "cost"}
-    assert get_stage("cost").name == "cost"
-
-
-def test_unknown_stage_suggests_near_miss():
-    with pytest.raises(ConfigError, match=r"did you mean 'extract'\?"):
-        get_stage("extrct")
-
-
-def test_duplicate_stage_registration_rejected():
-    class DupStage(Stage):
-        name = "extract"
-
-        def run(self, state, settings, context):
-            pass
-
-    with pytest.raises(ValueError, match="already registered"):
-        register_stage(DupStage())
-
-
-# ----------------------------------------------------------------------
 # the shared PE array
 # ----------------------------------------------------------------------
 def test_full_pe_array_matches_platform_defaults():
@@ -212,6 +187,17 @@ def test_full_pe_array_matches_platform_defaults():
     assert full_pe_array(PipelineSettings()).clock_hz == GCOD_CLOCK_HZ
     with pytest.raises(ConfigError, match="supports bits in"):
         full_pe_array(PipelineSettings(bits=16))
+    # the sweep's GCoD variant is the same array: one PE-count rule
+    from repro.sweep.engine import _PointEvaluator
+
+    evaluator = _PointEvaluator(None)
+    for bits in (32, 8):
+        for hw_scale in (0.5, 1.0, 2.0):
+            shared = full_pe_array(
+                PipelineSettings(bits=bits, hw_scale=hw_scale))
+            variant = evaluator._gcod_platform(bits, hw_scale, 16).pes
+            assert (variant.num_pes, variant.clock_hz) == \
+                (shared.num_pes, shared.clock_hz)
 
 
 # ----------------------------------------------------------------------
@@ -301,15 +287,3 @@ def test_to_jsonable_is_json_clean(settings_for):
     payload = json.loads(json.dumps(report.to_jsonable()))
     assert set(payload["node_pes"]) == {"cora/gcn", "cora/gat"}
     assert payload["latency_s"] == report.latency_s
-
-
-def test_cost_without_extract_and_map_raises(settings_for):
-    with pytest.raises(ConfigError, match="'extract' and 'map'"):
-        evaluate_workload(parse_workload("cora/gcn"), None,
-                          settings_for(stages=("cost",)))
-
-
-def test_chain_without_cost_raises(settings_for):
-    with pytest.raises(ConfigError, match="produced no report"):
-        evaluate_workload(parse_workload("cora/gcn"), None,
-                          settings_for(stages=("extract", "map")))

@@ -218,6 +218,16 @@ def test_points_over_one_pipeline_share_one_config():
     assert len(tasks) == 2 * len(configs)  # two datasets per config
 
 
+def test_points_over_one_pipeline_share_one_task_object():
+    """Each distinct training run is one object, so its key hashes once
+    per plan however many points depend on it."""
+    for spec in all_sweeps():
+        points = expand(spec, EvalContext(profile="fast"))
+        tasks = [t for p in points for t in p.gcod_tasks()]
+        assert len({id(t) for t in tasks}) == \
+            len({t.key().digest for t in tasks}), spec.name
+
+
 def test_negative_zero_sparsity_keeps_its_own_config():
     spec = SweepSpec(name="zeros", title="zeros",
                      axes={"sparsity": (0.0, -0.0)})

@@ -3,7 +3,9 @@
 Re-rendering a sweep whose points are all stored only reads: the manifest
 it would write is equal to the stored one, so neither ``begin_manifest``
 nor ``execute_sweep``'s ``finally`` rewrites it (a shared store gets no
-PUTs from viewers, and a local one no file replacements). Every run that
+PUTs from viewers, and a local one no file replacements), and a re-read
+that takes every point from the store skips the ``finally``'s
+membership refresh. Every run that
 changes what the manifest records must still write it: one that
 evaluates a point, one that is interrupted after progress, the same grid
 under another registered name or title, and one that finds the stored
@@ -74,6 +76,62 @@ def test_rerun_of_a_complete_sweep_writes_nothing(store, finished_store,
         assert sweep_report_text(SPEC, report.results) == finished_store[1]
     assert writes == []
     assert manifest_mtime(store) == before
+
+
+def count_membership_checks(monkeypatch, store):
+    """Record every manifest membership check from now on."""
+    checks = []
+    real = store.contains_digest
+
+    def contains_digest(kind, digest):
+        checks.append(digest)
+        return real(kind, digest)
+
+    monkeypatch.setattr(store, "contains_digest", contains_digest)
+    return checks
+
+
+def test_full_reread_skips_the_manifest_refresh(store, finished_store,
+                                                monkeypatch):
+    ctx = micro_ctx(store)
+    plan = eng.plan_sweep(ctx, SPEC)
+    assert len(plan.cached) == SPEC.num_points
+    checks = count_membership_checks(monkeypatch, store)
+    report = eng.execute_sweep(plan, ctx)
+    assert len(report.cache_hits) == SPEC.num_points
+    assert sweep_report_text(SPEC, report.results) == finished_store[1]
+    assert checks == []
+    manifest = load_manifest(store, ctx, SPEC)
+    assert manifest.complete and manifest.done == manifest.planned
+
+
+def test_reread_after_a_deleted_point_refreshes_the_manifest(store,
+                                                             monkeypatch):
+    ctx = micro_ctx(store)
+    store.invalidate(eng.expand(SPEC, ctx)[5].key())
+    plan = eng.plan_sweep(ctx, SPEC)
+    checks = count_membership_checks(monkeypatch, store)
+    writes = count_writes(monkeypatch, store)
+    report = eng.execute_sweep(plan, ctx)
+    assert report.points_evaluated == 1
+    assert len(checks) == SPEC.num_points
+    assert [kind for kind, _ in writes].count("manifest") == 2
+    manifest = load_manifest(store, ctx, SPEC)
+    assert manifest.complete and manifest.done == manifest.planned
+
+
+def test_point_lost_after_the_plan_still_refreshes(store, monkeypatch):
+    """The plan saw a whole grid, but one entry is gone by collection:
+    the point is evaluated again and the manifest re-checked."""
+    ctx = micro_ctx(store)
+    plan = eng.plan_sweep(ctx, SPEC)
+    store.invalidate(plan.keys[5])
+    checks = count_membership_checks(monkeypatch, store)
+    report = eng.execute_sweep(plan, ctx)
+    assert report.points_evaluated == 1
+    assert len(checks) == SPEC.num_points
+    manifest = load_manifest(store, ctx, SPEC)
+    assert manifest.complete and manifest.done == manifest.planned
 
 
 def test_sweep_that_evaluates_a_point_writes_the_manifest(store,
