@@ -1,7 +1,7 @@
 """Multi-tenant serving: two GNN models time-slicing one GCoD accelerator.
 
-Not a paper table — a ROADMAP extension built on the staged workload-DAG
-pipeline (:mod:`repro.hardware.pipeline`): a GCN and a GAT, both
+Not a paper table — a ROADMAP extension built on the workload-DAG
+evaluator (:mod:`repro.hardware.pipeline`): a GCN and a GAT, both
 GCoD-trained on Cora, share the accelerator's PE array concurrently
 (each node gets half the PEs), compared against running the same two
 models back to back on the full array. Consolidation wins when the
