@@ -26,23 +26,17 @@ Quickstart::
     print(GCoDAccelerator().run(workload).latency_s)
 """
 
-from repro.graphs import Graph, load_dataset
-from repro.nn import build_model, train_model
-from repro.partition import partition_graph
-from repro.algorithm import GCoDConfig, GCoDResult, run_gcod
-from repro.hardware import extract_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Graph",
-    "load_dataset",
-    "build_model",
-    "train_model",
-    "partition_graph",
-    "GCoDConfig",
-    "GCoDResult",
-    "run_gcod",
-    "extract_workload",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".graphs.graph": ("Graph",),
+    ".graphs.datasets": ("load_dataset",),
+    ".nn.models": ("build_model",),
+    ".nn.training": ("train_model",),
+    ".partition.layout": ("partition_graph",),
+    ".algorithm.config": ("GCoDConfig",),
+    ".algorithm.pipeline": ("GCoDResult", "run_gcod"),
+    ".hardware.workload": ("extract_workload",),
+}, own=("__version__",))

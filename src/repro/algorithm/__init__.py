@@ -9,24 +9,12 @@ Three steps, orchestrated by :func:`run_gcod` / :class:`GCoDTrainer`:
 3. structurally sparsify patches and retrain again.
 """
 
-from repro.algorithm.config import GCoDConfig
-from repro.algorithm.admm import ADMMResult, admm_sparsify_polarize, polarization_loss
-from repro.algorithm.structural import (
-    patch_nnz_counts,
-    structural_sparsify,
-)
-from repro.algorithm.earlybird import EarlyBirdDetector
-from repro.algorithm.pipeline import GCoDResult, GCoDTrainer, run_gcod
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GCoDConfig",
-    "ADMMResult",
-    "admm_sparsify_polarize",
-    "polarization_loss",
-    "patch_nnz_counts",
-    "structural_sparsify",
-    "EarlyBirdDetector",
-    "GCoDResult",
-    "GCoDTrainer",
-    "run_gcod",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("GCoDConfig",),
+    ".admm": ("ADMMResult", "admm_sparsify_polarize", "polarization_loss"),
+    ".structural": ("patch_nnz_counts", "structural_sparsify"),
+    ".earlybird": ("EarlyBirdDetector",),
+    ".pipeline": ("GCoDResult", "GCoDTrainer", "run_gcod"),
+})

@@ -59,9 +59,9 @@ class GCoDConfig:
         if self.kernel_backend is not None:
             # Resolve eagerly so a typo fails at configuration time with the
             # registry's clear unknown-backend message.
-            from repro.sparse.kernels import get_backend
+            from repro.sparse.kernels import backend_name
 
-            get_backend(self.kernel_backend)
+            backend_name(self.kernel_backend)
         if not 0.0 <= self.prune_ratio < 1.0:
             raise ConfigError("prune_ratio must be in [0, 1)")
         if self.num_classes < 1 or self.num_groups < 1:

@@ -14,7 +14,8 @@ the rule checks no definition and reports that once instead.
 still an orphan. A use is a
 name or attribute read, a non-``__init__`` import, or a string
 constant spelling the name (``getattr``-style wrapping by name). An
-``__init__`` re-export import and an ``__all__`` entry are not uses.
+``__init__`` re-export import and an ``__all__`` entry are not uses,
+nor is an entry of a lazy re-export table that assigns ``__all__``.
 Decorated definitions are skipped: the decorator is their caller.
 """
 
@@ -56,11 +57,14 @@ def _caller_trees(repo: str) -> Iterator[ast.Module]:
 
 
 def _is_all(node: ast.AST) -> bool:
+    """An assignment to ``__all__``, alone or unpacked beside others (the
+    ``__all__, __getattr__, __dir__ = lazy_exports(...)`` re-export
+    table)."""
     targets = node.targets if isinstance(node, ast.Assign) else (
         [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
         else [])
-    return any(isinstance(t, ast.Name) and t.id == "__all__"
-               for t in targets)
+    return any(isinstance(n, ast.Name) and n.id == "__all__"
+               for t in targets for n in ast.walk(t))
 
 
 def _names_used(node: ast.AST, is_init: bool) -> Iterator[str]:
@@ -81,6 +85,11 @@ def _uses(tree: ast.Module, is_init: bool) -> Iterator[Tuple[str, str]]:
     """``(name, enclosing top-level definition or "")`` per use."""
     for stmt in tree.body:
         if _is_all(stmt):
+            # its names are re-exports, but the helper it calls is used
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    yield node.id, ""
             continue
         owner = stmt.name if isinstance(
             stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

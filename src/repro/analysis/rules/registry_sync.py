@@ -15,7 +15,8 @@ like this one before:
   arguments must derive their ``choices`` from the registry (a name or
   call), never a literal tuple;
 * a kernel-backend class under ``sparse/kernels/`` (a concrete ``name``
-  on a ``*Backend`` subclass) that the kernels package never passes to
+  on a ``*Backend`` subclass) that the kernels package neither lists in
+  its lazy builtin table (``_BUILTIN_BACKENDS``) nor passes to
   ``register_backend(Cls())``. Such a backend imports fine but can never
   be requested: ``backend_choices()`` (and with it every CLI surface)
   omits it.
@@ -40,6 +41,8 @@ REGISTER_CALL = "register_experiment"
 KERNELS_DIR = "sparse/kernels/"
 KERNELS_INIT = "sparse/kernels/__init__.py"
 REGISTER_BACKEND_CALL = "register_backend"
+#: The kernels package's name -> (module, class) table of builtin backends.
+BUILTIN_BACKENDS_TABLE = "_BUILTIN_BACKENDS"
 
 #: CLI arguments whose choices mirror a registry and must stay dynamic.
 DYNAMIC_CHOICE_FLAGS = {
@@ -154,7 +157,18 @@ class RegistrySyncRule(Rule):
             return  # partial tree
         registered_classes = set()
         for node in ast.walk(init.tree):
-            if (isinstance(node, ast.Call)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                isinstance(t, ast.Name) and t.id == BUILTIN_BACKENDS_TABLE
+                for t in (node.targets if isinstance(node, ast.Assign)
+                          else [node.target])
+            ):
+                # _BUILTIN_BACKENDS = {"name": ("module", "Class"), ...}
+                registered_classes.update(
+                    c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)
+                    and isinstance(c.value, str)
+                )
+            elif (isinstance(node, ast.Call)
                     and dotted_name(node.func).split(".")[-1]
                     == REGISTER_BACKEND_CALL
                     and node.args
@@ -176,7 +190,8 @@ class RegistrySyncRule(Rule):
                     f"{KERNELS_INIT} — backend_choices() and every CLI "
                     f"surface will omit it"
                 ),
-                hint=f"call {REGISTER_BACKEND_CALL}({cls.name}()) in "
+                hint=f"list it in {BUILTIN_BACKENDS_TABLE} or call "
+                     f"{REGISTER_BACKEND_CALL}({cls.name}()) in "
                      f"{KERNELS_INIT}",
             )
 

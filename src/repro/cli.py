@@ -185,14 +185,14 @@ def _cmd_report(args, ctx: EvalContext) -> int:
                      else result.to_csv())
         written.append(path)
     shape_lines = shape_checks(ctx) if names is None else None
-    from repro.sparse.kernels import get_backend
+    from repro.sparse.kernels import backend_name
 
     index = {
         "profile": ctx.profile,
         # resolved name, matching the cache-key normalization: a default
         # run and an explicit --kernel-backend vectorized run are the
         # same series
-        "kernel_backend": get_backend(ctx.kernel_backend).name,
+        "kernel_backend": backend_name(ctx.kernel_backend),
         "seed": ctx.seed,
         "schema": CODE_SCHEMA_VERSION,
         "experiments": list(run.results),

@@ -12,19 +12,12 @@ Plus :mod:`repro.compression.quantize`, the shared int-k fake-quantization
 machinery also used by the GCoD (8-bit) accelerator variant.
 """
 
-from repro.compression.quantize import QuantSpec, quantize_dequantize
-from repro.compression.random_pruning import random_prune_edges, train_random_pruned
-from repro.compression.sgcn import sgcn_sparsify, train_sgcn
-from repro.compression.qat import train_qat
-from repro.compression.degree_quant import train_degree_quant
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QuantSpec",
-    "quantize_dequantize",
-    "random_prune_edges",
-    "train_random_pruned",
-    "sgcn_sparsify",
-    "train_sgcn",
-    "train_qat",
-    "train_degree_quant",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".quantize": ("QuantSpec", "quantize_dequantize"),
+    ".random_pruning": ("random_prune_edges", "train_random_pruned"),
+    ".sgcn": ("sgcn_sparsify", "train_sgcn"),
+    ".qat": ("train_qat",),
+    ".degree_quant": ("train_degree_quant",),
+})

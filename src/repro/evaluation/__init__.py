@@ -7,11 +7,9 @@ paper-reported values the "Headline shape checks" header of
 :mod:`repro.evaluation.report` compares against.
 """
 
-from repro.evaluation.context import (
-    EvalContext,
-    ExperimentResult,
-    default_context,
-)
+from repro._lazy import lazy_exports
 from repro.evaluation import reference
 
-__all__ = ["EvalContext", "ExperimentResult", "default_context", "reference"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".context": ("EvalContext", "ExperimentResult", "default_context"),
+}, own=("reference",))

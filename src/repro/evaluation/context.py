@@ -20,12 +20,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithm import GCoDConfig, GCoDResult
-from repro.graphs import Graph
-from repro.hardware import GCNWorkload, extract_workload
-from repro.hardware.accelerators import all_platforms
+from repro.algorithm.config import GCoDConfig
 from repro.runtime import keys as runtime_keys
 from repro.runtime.runner import (
     GCoDTask,
@@ -35,6 +32,11 @@ from repro.runtime.runner import (
 )
 from repro.runtime.store import ArtifactStore, get_or_compute
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.algorithm.pipeline import GCoDResult
+    from repro.graphs.graph import Graph
+    from repro.hardware.workload import GCNWorkload
 
 CITATION_DATASETS = ("cora", "citeseer", "pubmed")
 LARGE_DATASETS = ("nell", "reddit")
@@ -152,9 +154,9 @@ class EvalContext:
 
     def _backend_name(self) -> str:
         """The kernel backend name with ``None`` resolved to the default."""
-        from repro.sparse.kernels import get_backend
+        from repro.sparse.kernels import backend_name
 
-        return get_backend(self.kernel_backend).name
+        return backend_name(self.kernel_backend)
 
     def gcod_config(self) -> GCoDConfig:
         """The GCoD hyper-parameters for this profile."""
@@ -252,6 +254,8 @@ class EvalContext:
     def platforms(self) -> dict:
         """The (cached) platform models, keyed by name."""
         if self._platforms is None:
+            from repro.hardware.accelerators import all_platforms
+
             self._platforms = all_platforms()
         return self._platforms
 
@@ -289,6 +293,8 @@ class EvalContext:
         self, dataset: str, arch: str = "gcn", **kw
     ) -> GCNWorkload:
         """Paper-scale workload of the untreated graph (for baselines)."""
+        from repro.hardware.workload import extract_workload
+
         return extract_workload(
             self.graph(dataset), None, arch, paper_scale=True, **kw
         )
@@ -302,6 +308,8 @@ class EvalContext:
         i.e. the accelerator without sparsification), ``tuned`` (Step 2), or
         ``final`` (all three steps).
         """
+        from repro.hardware.workload import extract_workload
+
         result = self.gcod(dataset, arch)
         graph = {
             "partitioned": result.partitioned_graph,

@@ -18,14 +18,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.algorithm import run_gcod
 from repro.evaluation.context import (
     EvalContext,
     ExperimentResult,
     default_context,
 )
-from repro.hardware import extract_workload
-from repro.hardware.accelerators import GCoDAccelerator
 from repro.runtime.registry import register_experiment
 
 
@@ -35,6 +32,10 @@ def run(
     agg_heavy_dataset: str = "reddit",
 ) -> ExperimentResult:
     """Ablate each design choice on ``dataset`` (+ one aggregation-bound one)."""
+    from repro.algorithm.pipeline import run_gcod
+    from repro.hardware.accelerators.gcod import GCoDAccelerator
+    from repro.hardware.workload import extract_workload
+
     context = context or default_context()
     rows = []
 

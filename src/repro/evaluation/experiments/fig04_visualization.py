@@ -16,7 +16,6 @@ from repro.evaluation.context import (
     ExperimentResult,
     default_context,
 )
-from repro.utils.ascii_plot import density_plot
 from repro.runtime.registry import register_experiment
 
 
@@ -26,6 +25,8 @@ def run(
     plot_size: int = 32,
 ) -> ExperimentResult:
     """Reproduce Fig. 4 for ``datasets``."""
+    from repro.utils.ascii_plot import density_plot
+
     context = context or default_context()
     rows = []
     blocks = []

@@ -10,7 +10,6 @@ from repro.evaluation.context import (
     ExperimentResult,
     default_context,
 )
-from repro.utils.ascii_plot import bar_chart
 from repro.runtime.registry import register_experiment
 
 PLATFORM_ORDER = (
@@ -36,6 +35,8 @@ def run(
     platforms: Sequence[str] = PLATFORM_ORDER,
 ) -> ExperimentResult:
     """Reproduce Fig. 9 (speedups normalized to PyG-CPU)."""
+    from repro.utils.ascii_plot import bar_chart
+
     context = context or default_context()
     rows = []
     charts = []

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.evaluation.context import (
     CITATION_DATASETS,
     LARGE_DATASETS,
@@ -31,6 +29,8 @@ def run(
     arch: str = "gcn",
 ) -> ExperimentResult:
     """Reproduce Fig. 11 for the GCN model."""
+    import numpy as np
+
     context = context or default_context()
     plats = context.platforms()
     rows = []

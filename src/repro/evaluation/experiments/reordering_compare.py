@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithm.admm import polarization_loss
 from repro.evaluation.context import (
     EvalContext,
     ExperimentResult,
     default_context,
 )
-from repro.graphs.reorder import REORDERING_BASELINES, permute_graph
 from repro.runtime.registry import register_experiment
 
 
@@ -28,6 +26,9 @@ def run(
     dataset: str = "cora",
 ) -> ExperimentResult:
     """Compare node orderings on ``dataset``."""
+    from repro.algorithm.admm import polarization_loss
+    from repro.graphs.reorder import REORDERING_BASELINES, permute_graph
+
     context = context or default_context()
     graph = context.graph(dataset)
     gcod = context.gcod(dataset, "gcn")

@@ -10,7 +10,6 @@ from repro.evaluation.context import (
     ExperimentResult,
     default_context,
 )
-from repro.graphs import DATASET_SPECS, compute_stats
 from repro.runtime.registry import register_experiment
 
 
@@ -19,6 +18,9 @@ def run(
     datasets: Sequence[str] = ALL_DATASETS,
 ) -> ExperimentResult:
     """Reproduce Tab. III, showing the synthetic stand-ins' actual stats."""
+    from repro.graphs.datasets import DATASET_SPECS
+    from repro.graphs.stats import compute_stats
+
     context = context or default_context()
     rows = []
     for dataset in datasets:

@@ -12,9 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.evaluation.context import ExperimentResult
-from repro.hardware.accelerators import system_configurations
-from repro.hardware.accelerators.gcod import branch_characteristics
-from repro.hardware.dataflow import pipeline_characteristics
 from repro.utils.tables import format_table
 from repro.runtime.registry import register_experiment
 from repro.sweep.registry import register_sweep
@@ -23,6 +20,10 @@ from repro.sweep.spec import SweepSpec
 
 def run(context=None) -> ExperimentResult:
     """Reproduce Tab. V, with Tabs. I and II appended as extra text."""
+    from repro.hardware.accelerators import system_configurations
+    from repro.hardware.accelerators.gcod import branch_characteristics
+    from repro.hardware.dataflow import pipeline_characteristics
+
     configs = system_configurations()
     rows = [
         (c["platform"], c["compute"], c["onchip"], c["offchip"], c["power_w"])

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.evaluation.context import (
     EvalContext,
     ExperimentResult,
@@ -29,6 +27,8 @@ def run(
     datasets: Sequence[str] = DATASETS,
 ) -> ExperimentResult:
     """Reproduce Tab. VI."""
+    import numpy as np
+
     context = context or default_context()
     plats = context.platforms()
     methods = ("awb-gcn", "gcod accel.", "gcod accel. w/ sp",

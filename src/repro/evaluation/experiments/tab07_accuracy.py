@@ -10,19 +10,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.compression import (
-    train_degree_quant,
-    train_qat,
-    train_random_pruned,
-    train_sgcn,
-)
 from repro.evaluation.context import (
     EvalContext,
     ExperimentResult,
     default_context,
 )
-from repro.nn.models import build_model
-from repro.nn.training import train_model
 from repro.runtime.registry import register_experiment
 
 
@@ -48,6 +40,13 @@ def run(
     Pass ``models=("gcn", "gat", "gin", "sage")``, all five datasets, and
     ``n_seeds > 1`` (the paper reports mean ± std) for the full table.
     """
+    from repro.compression.degree_quant import train_degree_quant
+    from repro.compression.qat import train_qat
+    from repro.compression.random_pruning import train_random_pruned
+    from repro.compression.sgcn import train_sgcn
+    from repro.nn.models import build_model
+    from repro.nn.training import train_model
+
     context = context or default_context()
     epochs = epochs or (40 if context.profile == "fast" else 400)
     rows = []

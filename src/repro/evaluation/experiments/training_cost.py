@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.algorithm import run_gcod
 from repro.evaluation.context import (
     EvalContext,
     ExperimentResult,
@@ -36,6 +35,8 @@ def run(
     arch: str = "gcn",
 ) -> ExperimentResult:
     """Reproduce the training-cost accounting with paper-like proportions."""
+    from repro.algorithm.pipeline import run_gcod
+
     context = context or default_context()
     rows = []
     for dataset in datasets:

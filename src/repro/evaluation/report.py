@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.evaluation import reference
 from repro.evaluation.context import EvalContext, default_context
 from repro.runtime.registry import resolve_experiments
@@ -30,6 +28,8 @@ SHAPE_CHECK_DEPS: Tuple[Tuple[str, str], ...] = tuple(
 
 def shape_checks(ctx: EvalContext) -> List[str]:
     """Compute the headline paper-vs-measured comparisons."""
+    import numpy as np
+
     plats = ctx.platforms()
     lines = []
     ratios_awb, ratios_hygcn, ratios_8bit, bw_ratios = [], [], [], []

@@ -9,40 +9,14 @@ GCoD algorithm, the partitioner, and the hardware model — consumes only the
 ``Graph`` container defined here.
 """
 
-from repro.graphs.graph import Graph
-from repro.graphs.generators import powerlaw_community_graph
-from repro.graphs.datasets import (
-    DATASET_SPECS,
-    DatasetSpec,
-    load_dataset,
-    cora,
-    citeseer,
-    pubmed,
-    nell,
-    ogbn_arxiv,
-    reddit,
-)
-from repro.graphs.normalize import symmetric_normalize, add_self_loops, row_normalize
-from repro.graphs.stats import GraphStats, compute_stats
-from repro.graphs.reorder import permute_graph, rcm_permutation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "powerlaw_community_graph",
-    "DATASET_SPECS",
-    "DatasetSpec",
-    "load_dataset",
-    "cora",
-    "citeseer",
-    "pubmed",
-    "nell",
-    "ogbn_arxiv",
-    "reddit",
-    "symmetric_normalize",
-    "add_self_loops",
-    "row_normalize",
-    "GraphStats",
-    "compute_stats",
-    "permute_graph",
-    "rcm_permutation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".graph": ("Graph",),
+    ".generators": ("powerlaw_community_graph",),
+    ".datasets": ("DATASET_SPECS", "DatasetSpec", "load_dataset", "cora",
+                  "citeseer", "pubmed", "nell", "ogbn_arxiv", "reddit"),
+    ".normalize": ("symmetric_normalize", "add_self_loops", "row_normalize"),
+    ".stats": ("GraphStats", "compute_stats"),
+    ".reorder": ("permute_graph", "rcm_permutation"),
+})

@@ -16,12 +16,13 @@ magnitude denser than the citation graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import UnknownDatasetError
-from repro.graphs.generators import powerlaw_community_graph
-from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.graphs.graph import Graph
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ def load_dataset(
     The returned graph's ``meta`` carries the spec, the applied scale, and
     the paper-scale statistics.
     """
+    from repro.graphs.generators import powerlaw_community_graph
+
     key = name.lower()
     if key not in DATASET_SPECS:
         raise UnknownDatasetError(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.errors import PartitionError
 from repro.graphs.graph import Graph
@@ -56,6 +55,9 @@ def permute_graph(graph: Graph, perm: np.ndarray) -> Graph:
 
 def rcm_permutation(graph: Graph) -> np.ndarray:
     """Reverse-Cuthill-McKee ordering (bandwidth-minimizing baseline)."""
+    # csgraph loads scipy.linalg and numpy.f2py: import it only here
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     return np.asarray(
         reverse_cuthill_mckee(graph.adj.tocsr(), symmetric_mode=True),
         dtype=np.int64,

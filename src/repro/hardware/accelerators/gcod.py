@@ -39,15 +39,8 @@ from repro.hardware.dataflow import select_pipeline
 from repro.hardware.energy import EnergyModel
 from repro.hardware.memory import Buffer, OffChipMemory
 from repro.hardware.pe import PEArray
+from repro.hardware.units import DEFAULT_PES, GCOD_CLOCK_HZ
 from repro.hardware.workload import GCNWorkload, LayerSpec
-
-
-#: Tab. V PE counts per precision: quantization cuts the bandwidth per
-#: MAC, affording 2.5x the PEs.
-DEFAULT_PES = {32: 4096, 8: 10240}
-
-#: The GCoD clock (Tab. V), the same for every variant.
-GCOD_CLOCK_HZ = 330e6
 
 
 def gcod_pe_count(bits: int, hw_scale: float = 1.0) -> int:

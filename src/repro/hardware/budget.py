@@ -29,7 +29,7 @@ Scaling policy (deliberately conservative):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import ConfigError
 from repro.hardware import units
@@ -100,15 +100,17 @@ class AreaPowerModel:
         bits: int,
         num_pes: int,
         onchip_bytes: float,
-        clock_hz: float = 330e6,
+        clock_hz: Optional[float] = None,
     ) -> BudgetEstimate:
         """Area (mm^2) and TDP (W) of a ``num_pes``-PE design at ``bits``.
 
         Area is raw PE + SRAM silicon times the floorplan overhead;
         TDP is PE dynamic power at the thermal-design activity factor,
         plus SRAM and the (node-invariant) HBM PHY, times the static
-        overhead.
+        overhead. ``clock_hz`` defaults to :data:`units.GCOD_CLOCK_HZ`.
         """
+        if clock_hz is None:
+            clock_hz = units.GCOD_CLOCK_HZ
         if bits not in units.PE_AREA_MM2:
             known = ", ".join(str(b) for b in sorted(units.PE_AREA_MM2))
             raise ConfigError(

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hardware import units
 from repro.hardware.workload import GCNWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -275,8 +276,8 @@ def tiles_from_workload(
 def simulate_aggregation(
     workload: GCNWorkload,
     agg_dim: int,
-    total_pes: int = 4096,
-    clock_hz: float = 330e6,
+    total_pes: Optional[int] = None,
+    clock_hz: Optional[float] = None,
     bandwidth_gbps: float = 460.0,
     layout_tiles: Optional[Tuple[np.ndarray, List[int]]] = None,
     tile_profile: Optional["TileProfile"] = None,
@@ -288,8 +289,13 @@ def simulate_aggregation(
     :class:`~repro.sparse.kernels.TileProfile` from the tiled kernel
     backend) takes precedence over ``layout_tiles`` and over the near-even
     split: the simulator then schedules the exact blocks/column runs the
-    kernel executed.
+    kernel executed. ``total_pes`` and ``clock_hz`` default to the 32-bit
+    GCoD array of :mod:`repro.hardware.units`.
     """
+    if total_pes is None:
+        total_pes = units.DEFAULT_PES[32]
+    if clock_hz is None:
+        clock_hz = units.GCOD_CLOCK_HZ
     adj = workload.adjacency
     total_nnz = max(adj.nnz, 1)
     pe_rate: Dict[str, float] = {}

@@ -40,19 +40,18 @@ form (see :func:`workload_from_json`) expresses arbitrary DAGs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, did_you_mean
-from repro.hardware.accelerators.base import AcceleratorReport, PhaseStats
-from repro.hardware.accelerators.gcod import (
-    DEFAULT_PES,
-    GCOD_CLOCK_HZ,
-    GCoDAccelerator,
-    gcod_pe_count,
-)
 from repro.hardware.budget import DEFAULT_TECH_NODE_NM
-from repro.hardware.pe import PEArray
-from repro.hardware.workload import GCNWorkload
+from repro.hardware.units import DEFAULT_PES, GCOD_CLOCK_HZ
+
+if TYPE_CHECKING:
+    # Parsing a DAG (a sweep axis coerces every workload value) needs none
+    # of the models; evaluating one imports them where it starts.
+    from repro.hardware.accelerators.base import AcceleratorReport, PhaseStats
+    from repro.hardware.pe import PEArray
+    from repro.hardware.workload import GCNWorkload
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +436,8 @@ class WorkloadGraphReport:
 
     def merged(self) -> AcceleratorReport:
         """The whole DAG as one :class:`AcceleratorReport`."""
+        from repro.hardware.accelerators.base import AcceleratorReport
+
         return AcceleratorReport(
             platform=self.platform,
             workload=self.workload,
@@ -471,6 +472,9 @@ class WorkloadGraphReport:
 
 def full_pe_array(settings: PipelineSettings) -> PEArray:
     """The shared array the DAG's levels slice (Tab. V x ``hw_scale``)."""
+    from repro.hardware.accelerators.gcod import gcod_pe_count
+    from repro.hardware.pe import PEArray
+
     if settings.bits not in DEFAULT_PES:
         raise ConfigError(
             f"workload evaluation supports bits in "
@@ -495,6 +499,9 @@ def evaluate_workload(
     latency is the slowest node's.
     Sequential levels sum. Traffic and energy add across all nodes.
     """
+    from repro.hardware.accelerators.base import PhaseStats
+    from repro.hardware.accelerators.gcod import GCoDAccelerator
+
     settings = settings or PipelineSettings()
     extract = settings.extract_fn or _trained_workload
     full = full_pe_array(settings)

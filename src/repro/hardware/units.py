@@ -16,6 +16,15 @@ alone; every GCoD result is produced by the model, not fitted.
 """
 
 # ---------------------------------------------------------------------------
+# the GCoD platform (Tab. V)
+# ---------------------------------------------------------------------------
+#: PE counts per precision: quantization cuts the bandwidth per MAC,
+#: affording 2.5x the PEs.
+DEFAULT_PES = {32: 4096, 8: 10240}
+#: The GCoD clock, the same for every variant.
+GCOD_CLOCK_HZ = 330e6
+
+# ---------------------------------------------------------------------------
 # energy per operation (picojoules)
 # ---------------------------------------------------------------------------
 MAC32_PJ = 3.1  # 32-bit fixed-point multiply-accumulate

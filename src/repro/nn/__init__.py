@@ -6,37 +6,13 @@ reverse-mode autograd engine (:mod:`repro.nn.tensor`), graph-specific ops
 (:mod:`repro.nn.models`), and a training loop (:mod:`repro.nn.training`).
 """
 
-from repro.nn.tensor import Tensor
-from repro.nn.layers import Linear, Module
-from repro.nn.optim import Adam
-from repro.nn.training import TrainResult, accuracy, train_model
-from repro.nn.models import (
-    GCN,
-    GIN,
-    GAT,
-    GraphSAGE,
-    ResGCN,
-    GNNModel,
-    GraphOps,
-    build_model,
-    MODEL_ARCHS,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "Linear",
-    "Module",
-    "Adam",
-    "TrainResult",
-    "accuracy",
-    "train_model",
-    "GCN",
-    "GIN",
-    "GAT",
-    "GraphSAGE",
-    "ResGCN",
-    "GNNModel",
-    "GraphOps",
-    "build_model",
-    "MODEL_ARCHS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".tensor": ("Tensor",),
+    ".layers": ("Linear", "Module"),
+    ".optim": ("Adam",),
+    ".training": ("TrainResult", "accuracy", "train_model"),
+    ".models": ("GCN", "GIN", "GAT", "GraphSAGE", "ResGCN", "GNNModel",
+                "GraphOps", "build_model", "MODEL_ARCHS"),
+})

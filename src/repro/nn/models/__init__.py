@@ -1,15 +1,16 @@
 """The five GCN variants evaluated by the paper (Tab. IV)."""
 
-from repro.nn.models.base import GNNModel, GraphOps
-from repro.nn.models.gcn import GCN
-from repro.nn.models.gin import GIN
-from repro.nn.models.gat import GAT, GATLayer
-from repro.nn.models.sage import GraphSAGE, SAGELayer, sample_neighbors
-from repro.nn.models.resgcn import ResGCN
+from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.errors import invalid_value_error
-from repro.graphs.graph import Graph
-from repro.utils.rng import SeedLike
+
+if TYPE_CHECKING:
+    from repro.graphs.graph import Graph
+    from repro.nn.models.base import GNNModel
+    from repro.utils.rng import SeedLike
 
 
 #: Tab. IV hidden dimensions: 16 for citation graphs, 64 for NELL/Reddit.
@@ -30,6 +31,12 @@ def build_model(
     ``arch`` is one of ``gcn``, ``gin``, ``gat``, ``sage``, ``resgcn``.
     ``hidden_dim`` / ``num_layers`` default to the paper's settings.
     """
+    from repro.nn.models.gat import GAT
+    from repro.nn.models.gcn import GCN
+    from repro.nn.models.gin import GIN
+    from repro.nn.models.resgcn import ResGCN
+    from repro.nn.models.sage import GraphSAGE
+
     arch = arch.lower()
     in_dim = graph.num_features
     out_dim = graph.num_classes
@@ -58,18 +65,11 @@ def build_model(
 
 MODEL_ARCHS = ("gcn", "gin", "gat", "sage", "resgcn")
 
-__all__ = [
-    "GNNModel",
-    "GraphOps",
-    "GCN",
-    "GIN",
-    "GAT",
-    "GATLayer",
-    "GraphSAGE",
-    "SAGELayer",
-    "sample_neighbors",
-    "ResGCN",
-    "build_model",
-    "hidden_dim_for",
-    "MODEL_ARCHS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("GNNModel", "GraphOps"),
+    ".gcn": ("GCN",),
+    ".gin": ("GIN",),
+    ".gat": ("GAT", "GATLayer"),
+    ".sage": ("GraphSAGE", "SAGELayer", "sample_neighbors"),
+    ".resgcn": ("ResGCN",),
+}, own=("build_model", "hidden_dim_for", "MODEL_ARCHS"))

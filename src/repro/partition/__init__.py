@@ -8,19 +8,11 @@ the object both the GCoD training pipeline and the accelerator's workload
 extractor consume.
 """
 
-from repro.partition.degree_classes import (
-    degree_classes,
-    quantile_thresholds,
-)
-from repro.partition.metis import metis_partition
-from repro.partition.grouping import distribute_round_robin
-from repro.partition.layout import BlockLayout, partition_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "degree_classes",
-    "quantile_thresholds",
-    "metis_partition",
-    "distribute_round_robin",
-    "BlockLayout",
-    "partition_graph",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".degree_classes": ("degree_classes", "quantile_thresholds"),
+    ".metis": ("metis_partition",),
+    ".grouping": ("distribute_round_robin",),
+    ".layout": ("BlockLayout", "partition_graph"),
+})

@@ -18,9 +18,9 @@ This package is the substrate under ``repro report``:
 * :mod:`repro.runtime.registry` — :class:`ExperimentSpec` descriptors that
   the report generator and CLI discover instead of hard-coding lists;
 * :mod:`repro.runtime.runner` — the plan/execute split and the one
-  executor loop behind ``--jobs N`` (imported lazily: it pulls in the
-  algorithm stack, which low-level users of the store/counters don't
-  need).
+  executor loop behind ``--jobs N`` (not re-exported here; like every
+  module on the planning path it imports the training stack only in the
+  functions that train, so planning a report loads no scipy).
 """
 
 from repro.runtime.keys import (

@@ -205,9 +205,9 @@ def _resolve_backend_name(kernel_backend: Optional[str]) -> str:
     (``None`` vs ``"vectorized"``) produce identical numbers and must share
     cache entries.
     """
-    from repro.sparse.kernels import get_backend
+    from repro.sparse.kernels import backend_name
 
-    return get_backend(kernel_backend).name
+    return backend_name(kernel_backend)
 
 
 def walk_config(config: Any) -> Any:

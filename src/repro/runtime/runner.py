@@ -34,6 +34,7 @@ freshly generated one.
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing as mp
 import sys
 import time
@@ -145,9 +146,9 @@ def build_task(context, dataset: str, arch: str) -> GCoDTask:
     is byte-identical whether the context or a pool worker — which must
     resolve eagerly — produced it.
     """
-    from repro.sparse.kernels import get_backend
+    from repro.sparse.kernels import backend_name
 
-    backend = get_backend(context.kernel_backend).name
+    backend = backend_name(context.kernel_backend)
     config = replace(context.gcod_config_for(arch), kernel_backend=backend)
     return GCoDTask(
         dataset=dataset,
@@ -305,6 +306,24 @@ def drain(
     return worked
 
 
+#: What a pool child's work function reaches: the training stack, every
+#: model, and the accelerator models a sweep point is costed on. The
+#: package roots import these lazily, so :func:`drain_pool` imports them
+#: in the parent first; forked children then share them instead of each
+#: importing numpy, scipy and the models again.
+POOL_PRELOAD = (
+    "repro.algorithm.pipeline",
+    "repro.nn.models.gat",
+    "repro.nn.models.gcn",
+    "repro.nn.models.gin",
+    "repro.nn.models.resgcn",
+    "repro.nn.models.sage",
+    "repro.hardware.accelerators",
+    "repro.hardware.event_sim",
+    "repro.hardware.pipeline",
+)
+
+
 def pool_width(jobs: int) -> int:
     """How many pool children ``jobs`` gets: no more than the CPUs this
     process may use, since a child beyond them only adds a fork and its
@@ -326,8 +345,11 @@ def drain_pool(items: Dict[str, object], context, jobs: int,
     rebuilds the context once from the store locator (a directory or a
     served store's URL) and hands its results back through the store.
     Every child runs to the end before the first failure is raised, so a
-    failing item never tears down a healthy child mid-write.
+    failing item never tears down a healthy child mid-write. The modules
+    of :data:`POOL_PRELOAD` are imported before the fork.
     """
+    for module in POOL_PRELOAD:
+        importlib.import_module(module)
     for dataset, seed in dict.fromkeys(graphs):
         context.graph_at(dataset, context.scale_for(dataset), seed)
     pairs = list(items.items())

@@ -32,28 +32,12 @@ Layers:
   to drive closed-loop sustained-throughput load.
 """
 
-from repro.serve.schema import (
-    ServeRequest,
-    ServeResponse,
-    parse_request,
-    parse_response,
-)
-from repro.serve.service import (
-    InferenceService,
-    ServeSettings,
-    run_serve,
-    start_in_thread,
-)
-from repro.serve.client import ServeClient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InferenceService",
-    "ServeClient",
-    "ServeRequest",
-    "ServeResponse",
-    "ServeSettings",
-    "parse_request",
-    "parse_response",
-    "run_serve",
-    "start_in_thread",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".schema": ("ServeRequest", "ServeResponse", "parse_request",
+                "parse_response"),
+    ".service": ("InferenceService", "ServeSettings", "run_serve",
+                 "start_in_thread"),
+    ".client": ("ServeClient",),
+})

@@ -60,7 +60,7 @@ from repro.serve.schema import (
     parse_request,
 )
 from repro.errors import ServeProtocolError
-from repro.sparse.kernels import get_backend
+from repro.sparse.kernels import backend_name
 
 #: A batch key: the unit one training dispatch serves.
 BatchKey = Tuple[str, str, str]  # (dataset, arch, resolved backend)
@@ -145,11 +145,11 @@ class InferenceService:
     # context / key plumbing
     # ------------------------------------------------------------------
     def _resolve(self, req: ServeRequest) -> Tuple[BatchKey, EvalContext]:
-        backend = get_backend(
+        backend = backend_name(
             req.kernel_backend
             if req.kernel_backend is not None
             else self.ctx.kernel_backend
-        ).name
+        )
         # replace() shares the memo dicts deliberately: memo keys include
         # the resolved backend name, so contexts on different backends
         # never collide. An unregistered name raises KernelError above,

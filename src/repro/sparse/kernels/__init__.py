@@ -21,21 +21,28 @@ is an implementation choice. This package makes that choice pluggable:
   MACs, DMA bytes) next to the numbers.
 
 Backends register by name; ``get_backend(None)`` returns the process-wide
-default (``vectorized``). Everything downstream — ``GraphOps``, the training
-loop, the GCoD pipeline, the functional emulator, the CLI — resolves its
-backend through this registry, so ``--kernel-backend reference`` swaps the
-arithmetic engine of the whole stack without touching the hardware model's
-traffic accounting. CLI surfaces derive their choices from
+default (``vectorized``). The three builtin backends are listed by name in
+``_BUILTIN_BACKENDS``, and each is imported and built on its first
+:func:`get_backend`; code that only needs a *name* (cache keys, task
+planning, the CLI's choices) resolves it with :func:`backend_name` and
+loads no kernel module, numpy or scipy. Everything downstream —
+``GraphOps``, the training loop, the GCoD pipeline, the functional
+emulator, the CLI — resolves its backend through this registry, so
+``--kernel-backend reference`` swaps the arithmetic engine of the whole
+stack without touching the hardware model's traffic accounting. CLI surfaces derive their choices from
 :func:`backend_choices`; any other name raises :class:`KernelError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+import importlib
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
-import numpy as np
-
+from repro._lazy import lazy_exports
 from repro.errors import KernelError, ShapeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_spmm_shapes(a_shape: Tuple[int, ...], b: np.ndarray) -> None:
@@ -92,6 +99,8 @@ class KernelBackend:
         """``segments`` as int64, each id checked to lie in
         ``[0, num_segments)``: numpy would wrap ``-1`` onto the last
         segment and ``bincount`` would drop or grow past the end."""
+        import numpy as np
+
         segments = np.asarray(segments, dtype=np.int64)
         if segments.size and not (
             0 <= segments.min() and segments.max() < num_segments
@@ -112,6 +121,8 @@ class KernelBackend:
         self, values: np.ndarray, segments: np.ndarray, num_segments: int
     ) -> np.ndarray:
         """Per-segment elementwise max; empty segments stay ``-inf``."""
+        import numpy as np
+
         segments = self.check_segment_ids(segments, num_segments)
         out = np.full((num_segments,) + values.shape[1:], -np.inf)
         np.maximum.at(out, segments, values)
@@ -141,6 +152,14 @@ class KernelBackend:
 _REGISTRY: Dict[str, KernelBackend] = {}
 _DEFAULT_NAME = "vectorized"
 
+#: The builtin backends, name -> (module, class): each is imported and
+#: registered by its first :func:`get_backend`.
+_BUILTIN_BACKENDS: Dict[str, Tuple[str, str]] = {
+    "reference": ("repro.sparse.kernels.reference", "ReferenceBackend"),
+    "tiled": ("repro.sparse.kernels.tiled", "TiledBackend"),
+    "vectorized": ("repro.sparse.kernels.vectorized", "VectorizedBackend"),
+}
+
 BackendLike = Union[None, str, KernelBackend]
 
 
@@ -155,64 +174,52 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 def backend_choices() -> Tuple[str, ...]:
     """Every registered backend name, sorted. CLI ``choices=`` must use
     this, never a literal list."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_REGISTRY.keys() | _BUILTIN_BACKENDS.keys()))
 
 
-def get_backend(backend: BackendLike = None) -> KernelBackend:
-    """Resolve ``backend`` (name, instance, or None for the default)."""
+def backend_name(backend: BackendLike = None) -> str:
+    """The name ``backend`` (name, instance, or None for the default)
+    resolves to; an unknown name raises :class:`KernelError`. Builds no
+    backend."""
     if backend is None:
-        backend = _DEFAULT_NAME
+        return _DEFAULT_NAME
     if isinstance(backend, KernelBackend):
+        return backend.name
+    if backend in _REGISTRY or backend in _BUILTIN_BACKENDS:
         return backend
-    if backend in _REGISTRY:
-        return _REGISTRY[backend]
     raise KernelError(
         f"unknown kernel backend {backend!r}; "
         f"available: {', '.join(backend_choices())}"
     )
 
 
+def get_backend(backend: BackendLike = None) -> KernelBackend:
+    """Resolve ``backend`` (name, instance, or None for the default)."""
+    if isinstance(backend, KernelBackend):
+        return backend
+    name = backend_name(backend)
+    found = _REGISTRY.get(name)
+    if found is None:
+        module, cls = _BUILTIN_BACKENDS[name]
+        built = getattr(importlib.import_module(module), cls)()
+        # setdefault: threads racing on a first use share one instance
+        found = _REGISTRY.setdefault(name, built)
+    return found
+
+
 def set_default_backend(backend: Union[str, KernelBackend]) -> str:
     """Set the process-wide default backend; returns the previous name."""
     global _DEFAULT_NAME
     previous = _DEFAULT_NAME
-    _DEFAULT_NAME = get_backend(backend).name
+    _DEFAULT_NAME = backend_name(backend)
     return previous
 
 
-# Populate the registry (imports at the bottom to avoid cycles: the backend
-# modules import the helpers defined above).
-from repro.sparse.kernels.reference import ReferenceBackend  # noqa: E402
-from repro.sparse.kernels.vectorized import (  # noqa: E402
-    CSROrder,
-    VectorizedBackend,
-)
-from repro.sparse.kernels.tiled import (  # noqa: E402
-    TiledBackend,
-    TileProfile,
-    TileWork,
-    layout_tile_profile,
-    tiled_spmm,
-)
-
-register_backend(ReferenceBackend())
-register_backend(VectorizedBackend())
-register_backend(TiledBackend())
-
-__all__ = [
-    "BackendLike",
-    "CSROrder",
-    "KernelBackend",
-    "ReferenceBackend",
-    "TileProfile",
-    "TileWork",
-    "TiledBackend",
-    "VectorizedBackend",
-    "layout_tile_profile",
-    "tiled_spmm",
-    "backend_choices",
-    "check_spmm_shapes",
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".reference": ("ReferenceBackend",),
+    ".vectorized": ("CSROrder", "VectorizedBackend"),
+    ".tiled": ("TileProfile", "TileWork", "TiledBackend",
+               "layout_tile_profile", "tiled_spmm"),
+}, own=("BackendLike", "KernelBackend", "backend_choices", "backend_name",
+        "check_spmm_shapes", "get_backend", "register_backend",
+        "set_default_backend"))

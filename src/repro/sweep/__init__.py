@@ -24,100 +24,22 @@ the way `zigzag`-style DSE loops generalize a single cost-model query:
   ``tab05-scale``, ``fig12-energy``) discovered by the CLI.
 """
 
-from repro.sweep.aggregate import (
-    DEFAULT_OBJECTIVES,
-    METRIC_HEADERS,
-    OBJECTIVES,
-    VARIANCE_METRICS,
-    Objective,
-    dominates,
-    long_form_result,
-    pareto_frontier,
-    pareto_result,
-    resolve_objectives,
-    seed_variance_result,
-    sweep_report_text,
-)
-from repro.sweep.constraints import (
-    CONSTRAINT_METRICS,
-    Constraint,
-    ConstraintMetric,
-    describe_constraints,
-    is_feasible,
-    parse_constraints,
-    resolve_constraints,
-)
-from repro.sweep.engine import (
-    SweepPlan,
-    SweepPointResult,
-    SweepRunReport,
-    execute_sweep,
-    plan_sweep,
-    run_sweep,
-)
-from repro.sweep.ledger import (
-    DEFAULT_CLAIM_TTL_S,
-    LedgerStats,
-    WorkLedger,
-    default_worker_id,
-)
-from repro.sweep.manifest import (
-    SweepManifest,
-    load_manifest,
-    manifest_key,
-)
-from repro.sweep.registry import (
-    all_sweeps,
-    get_sweep,
-    register_sweep,
-)
-from repro.sweep.spec import (
-    AXES,
-    SweepPoint,
-    SweepSpec,
-    expand,
-    parse_grid,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AXES",
-    "CONSTRAINT_METRICS",
-    "Constraint",
-    "ConstraintMetric",
-    "DEFAULT_CLAIM_TTL_S",
-    "DEFAULT_OBJECTIVES",
-    "LedgerStats",
-    "METRIC_HEADERS",
-    "OBJECTIVES",
-    "Objective",
-    "SweepManifest",
-    "SweepPlan",
-    "SweepPoint",
-    "SweepPointResult",
-    "SweepRunReport",
-    "SweepSpec",
-    "WorkLedger",
-    "VARIANCE_METRICS",
-    "all_sweeps",
-    "default_worker_id",
-    "describe_constraints",
-    "dominates",
-    "execute_sweep",
-    "expand",
-    "get_sweep",
-    "is_feasible",
-    "load_manifest",
-    "long_form_result",
-    "manifest_key",
-    "pareto_frontier",
-    "pareto_result",
-    "parse_constraints",
-    "parse_grid",
-    "plan_sweep",
-    "register_sweep",
-    "resolve_constraints",
-    "resolve_objectives",
-    "run_sweep",
-    "seed_variance_result",
-    "sweep_report_text",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".aggregate": ("DEFAULT_OBJECTIVES", "METRIC_HEADERS", "OBJECTIVES",
+                   "VARIANCE_METRICS", "Objective", "dominates",
+                   "long_form_result", "pareto_frontier", "pareto_result",
+                   "resolve_objectives", "seed_variance_result",
+                   "sweep_report_text"),
+    ".constraints": ("CONSTRAINT_METRICS", "Constraint", "ConstraintMetric",
+                     "describe_constraints", "is_feasible",
+                     "parse_constraints", "resolve_constraints"),
+    ".engine": ("SweepPlan", "SweepPointResult", "SweepRunReport",
+                "execute_sweep", "plan_sweep", "run_sweep"),
+    ".ledger": ("DEFAULT_CLAIM_TTL_S", "LedgerStats", "WorkLedger",
+                "default_worker_id"),
+    ".manifest": ("SweepManifest", "load_manifest", "manifest_key"),
+    ".registry": ("all_sweeps", "get_sweep", "register_sweep"),
+    ".spec": ("AXES", "SweepPoint", "SweepSpec", "expand", "parse_grid"),
+})

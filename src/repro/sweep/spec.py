@@ -304,7 +304,7 @@ def _point_config(context, arch: str, coords: Mapping[str, Any]):
     Reads ``arch`` and the :data:`_CONFIG_AXES` coordinates only, which
     is what lets :func:`expand` resolve each distinct config once.
     """
-    from repro.sparse.kernels import get_backend
+    from repro.sparse.kernels import backend_name
 
     config = context.gcod_config_for(arch)
     changes: Dict[str, Any] = {}
@@ -323,9 +323,9 @@ def _point_config(context, arch: str, coords: Mapping[str, Any]):
         # seed and the point's seed move together (the cache key covers
         # both through the config payload and the seed component).
         changes["seed"] = coords["seed"]
-    backend = get_backend(
+    backend = backend_name(
         coords.get("kernel_backend", context.kernel_backend)
-    ).name
+    )
     changes["kernel_backend"] = backend
     return replace(config, **changes), backend
 

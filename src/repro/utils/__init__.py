@@ -1,9 +1,10 @@
 """Shared utilities: RNG handling, table formatting, ASCII plots."""
 
-from repro.utils.rng import ensure_rng
-from repro.utils.sysinfo import effective_cpu_count
-from repro.utils.tables import format_table
-from repro.utils.ascii_plot import density_plot, bar_chart
+from repro._lazy import lazy_exports
 
-__all__ = ["bar_chart", "density_plot", "effective_cpu_count",
-           "ensure_rng", "format_table"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".rng": ("ensure_rng",),
+    ".sysinfo": ("effective_cpu_count",),
+    ".tables": ("format_table",),
+    ".ascii_plot": ("density_plot", "bar_chart"),
+})

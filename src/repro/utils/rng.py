@@ -7,11 +7,12 @@ a ``numpy.random.Generator``, or ``None`` and funnels it through
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[None, int, np.random.Generator]
+SeedLike = Union[None, int, "np.random.Generator"]
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -21,6 +22,8 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     single stream through nested components; integers and ``None`` construct
     a fresh ``default_rng``.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -32,5 +35,7 @@ def spawn(rng: np.random.Generator, n: int) -> list:
     Used when a pipeline stage fans out into parallel sub-tasks that must not
     share a stream (e.g. per-class METIS refinement).
     """
+    import numpy as np
+
     seeds = rng.integers(0, 2**63 - 1, size=n)
     return [np.random.default_rng(int(s)) for s in seeds]

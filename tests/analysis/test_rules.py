@@ -275,6 +275,17 @@ def test_unregistered_kernel_backend_is_flagged(scratch_tree):
     assert "register_backend(TurboBackend())" in hits[0].hint
 
 
+def test_builtin_backend_missing_from_lazy_table_is_flagged(scratch_tree):
+    rewrite(
+        scratch_tree / "sparse" / "kernels" / "__init__.py",
+        '    "tiled": ("repro.sparse.kernels.tiled", "TiledBackend"),\n',
+        "",
+    )
+    hits = findings_for(scratch_tree, "registry-sync")
+    assert [h.path for h in hits] == ["sparse/kernels/tiled.py"]
+    assert "TiledBackend" in hits[0].message
+
+
 def test_kind_filter_must_validate(scratch_tree):
     rewrite(
         scratch_tree / "cli.py",
@@ -312,11 +323,13 @@ def test_use_from_perfbench_only_is_silent(scratch_tree):
 def test_reexport_alone_is_flagged(scratch_tree):
     append_to(scratch_tree / "graphs" / "stats.py",
               "\n\ndef only_reexported():\n    return 0\n")
+    # Neither an entry of the lazy re-export table nor an eager
+    # re-export import is a use.
+    rewrite(scratch_tree / "graphs" / "__init__.py",
+            '("GraphStats", "compute_stats")',
+            '("GraphStats", "compute_stats", "only_reexported")')
     append_to(scratch_tree / "graphs" / "__init__.py",
               "\nfrom repro.graphs.stats import only_reexported\n")
-    rewrite(scratch_tree / "graphs" / "__init__.py",
-            '    "compute_stats",\n',
-            '    "compute_stats",\n    "only_reexported",\n')
     hits = findings_for(scratch_tree, "orphan")
     assert [h.path for h in hits] == ["graphs/stats.py"]
     assert "only_reexported" in hits[0].message

@@ -12,11 +12,7 @@ import pytest
 
 from repro.errors import ConfigError, UnknownDatasetError
 from repro.hardware import extract_workload
-from repro.hardware.accelerators.gcod import (
-    DEFAULT_PES,
-    GCOD_CLOCK_HZ,
-    GCoDAccelerator,
-)
+from repro.hardware.accelerators.gcod import GCoDAccelerator
 from repro.hardware.pipeline import (
     PipelineSettings,
     WorkloadGraph,
@@ -27,6 +23,7 @@ from repro.hardware.pipeline import (
     slice_workload,
     workload_from_json,
 )
+from repro.hardware.units import DEFAULT_PES, GCOD_CLOCK_HZ
 from repro.runtime.keys import jsonable
 
 

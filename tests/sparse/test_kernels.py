@@ -78,6 +78,15 @@ def test_set_default_backend_roundtrip():
     assert K.get_backend(None).name == "vectorized"
 
 
+def test_backend_name_resolves_without_building():
+    assert K.backend_name(None) == "vectorized"
+    assert K.backend_name("tiled") == "tiled"
+    assert K.backend_name(REF) == "reference"
+    with pytest.raises(KernelError, match="unknown kernel backend 'gpu'"):
+        K.backend_name("gpu")
+    assert K.backend_choices() == ("reference", "tiled", "vectorized")
+
+
 def test_register_backend_rejects_unnamed():
     with pytest.raises(KernelError):
         K.register_backend(K.KernelBackend())
